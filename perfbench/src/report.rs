@@ -2,7 +2,9 @@
 
 use crate::cells::{label, CELLS};
 use crate::floors::Floors;
-use crate::stats::{bootstrap_ratio_interval, exact_median, exact_quantile, median, SplitMix64};
+use crate::stats::{
+    bootstrap_ratio_interval, exact_median, exact_quantile, median, trimmed_mean, SplitMix64,
+};
 use crate::workload::{CellRuns, Kind, Prepared, RepOutcome};
 use std::fmt::Write as _;
 use streambench_core::{Api, Setup, System};
@@ -63,11 +65,13 @@ const ENGINES: [System; 3] = [System::Rill, System::DStream, System::Apx];
 /// A cell's end-to-end figures over a set of executions.
 #[derive(Debug, Clone, Copy)]
 pub struct CellFigures {
-    /// Median output `LogAppendTime` span.
+    /// Trimmed mean (fastest three quarters) of the executions' output
+    /// `LogAppendTime` spans.
     pub exec_s: f64,
-    /// Exact median latency.
+    /// Median latency: per execution, then averaged as the spans are
+    /// (batch); over the pooled samples (open loop).
     pub p50_ms: f64,
-    /// Exact 99th-percentile latency (reported, not gated).
+    /// 99th-percentile latency, likewise (reported, not gated).
     pub p99_ms: f64,
     /// Latency samples behind the percentiles.
     pub samples: u64,
@@ -77,16 +81,16 @@ fn headline_values(kind: Kind, reps: &[RepOutcome]) -> Vec<f64> {
     reps.iter().map(|r| kind.headline(r)).collect()
 }
 
-/// Batch: medians over executions of each execution's span and
-/// percentiles (`samples` counts executions). Open loop: median span,
-/// and exact percentiles over the pooled samples of all trials.
+/// Batch: trimmed means of the executions' spans and exact percentiles
+/// (`samples` counts executions). Open loop: the trimmed mean of the
+/// spans, and exact percentiles over the pooled samples of all trials.
 pub fn figures(kind: Kind, reps: &[RepOutcome]) -> CellFigures {
-    let exec_s = median_of(reps, |r| r.exec_s);
+    let exec_s = trimmed_of(reps, |r| r.exec_s);
     match kind {
         Kind::Batch => CellFigures {
             exec_s,
-            p50_ms: median_of(reps, |r| r.p50_ms),
-            p99_ms: median_of(reps, |r| r.p99_ms),
+            p50_ms: trimmed_of(reps, |r| r.p50_ms),
+            p99_ms: trimmed_of(reps, |r| r.p99_ms),
             samples: reps.len() as u64,
         },
         Kind::OpenLoop { .. } => {
@@ -166,6 +170,10 @@ pub fn slowdowns(
             }
         })
         .collect()
+}
+
+fn trimmed_of(reps: &[RepOutcome], f: impl Fn(&RepOutcome) -> f64) -> f64 {
+    trimmed_mean(&reps.iter().map(f).collect::<Vec<_>>())
 }
 
 fn median_of(reps: &[RepOutcome], f: impl Fn(&RepOutcome) -> f64) -> f64 {

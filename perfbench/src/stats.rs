@@ -1,5 +1,6 @@
 //! Order statistics over raw samples: exact percentiles (no histogram
-//! bucketing) and a seeded bootstrap interval for ratios of medians.
+//! bucketing), a trimmed mean, and a seeded bootstrap interval for
+//! ratios of trimmed means.
 
 /// The median of `values`; the mean of the two middle values for an even
 /// count. `NaN` for an empty slice.
@@ -15,6 +16,38 @@ pub fn median(values: &[f64]) -> f64 {
     } else {
         (sorted[mid - 1] + sorted[mid]) / 2.0
     }
+}
+
+/// The share of the values, fastest first, that [`trimmed_mean`] keeps.
+const KEPT: f64 = 0.75;
+
+/// The mean of the fastest three quarters of `values`: the slowest
+/// quarter is set aside, with a fractional weight at the cut so every
+/// count `n` keeps exactly `3n/4`. `NaN` for an empty slice.
+///
+/// This is how a run condenses a cell's executions. On a shared
+/// two-core host, CPU steal and late thread wake-ups come in bursts, and
+/// every execution inside a burst is slower; the cut drops bursts that
+/// cover up to a quarter of a run. A cell's spans can also be bimodal
+/// (two thread placements, each with its own speed) with a mix that
+/// changes from run to run. A median jumps between the modes when the
+/// mix crosses one half; a mean moves in proportion to the mix. A change
+/// that slows every execution slows the trimmed mean by the same factor.
+pub fn trimmed_mean(values: &[f64]) -> f64 {
+    if values.is_empty() {
+        return f64::NAN;
+    }
+    let mut sorted = values.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let kept = sorted.len() as f64 * KEPT;
+    let weighted: f64 = sorted
+        .iter()
+        .enumerate()
+        // Sample i covers [i, i + 1]; its weight is the part of that
+        // interval below `kept`.
+        .map(|(i, v)| (kept - i as f64).clamp(0.0, 1.0) * v)
+        .sum();
+    weighted / kept
 }
 
 /// The exact `q`-quantile (0 ≤ q ≤ 1) of integer samples by the
@@ -69,7 +102,8 @@ impl SplitMix64 {
     }
 }
 
-/// A 95 % percentile-bootstrap interval for `median(num) / median(den)`,
+/// A 95 % percentile-bootstrap interval for
+/// `trimmed_mean(num) / trimmed_mean(den)`,
 /// resampling each side's repetitions with replacement. `None` when a
 /// side has no samples.
 pub fn bootstrap_ratio_interval(
@@ -91,7 +125,7 @@ pub fn bootstrap_ratio_interval(
         for slot in &mut b {
             *slot = den[rng.index(den.len())];
         }
-        ratios.push(median(&a) / median(&b));
+        ratios.push(trimmed_mean(&a) / trimmed_mean(&b));
     }
     ratios.sort_by(f64::total_cmp);
     let at = |q: f64| ratios[((q * resamples as f64) as usize).min(resamples - 1)];
@@ -110,6 +144,37 @@ mod tests {
         assert_eq!(exact_median(&mut [5, 1, 3]), Some(3.0));
         assert_eq!(exact_median(&mut [5, 1, 3, 2]), Some(2.5));
         assert_eq!(exact_median(&mut []), None);
+    }
+
+    #[test]
+    fn trimmed_means() {
+        // The slowest quarter does not count.
+        assert_eq!(trimmed_mean(&[4.0, 1.0, 3.0, 2.0]), 2.0);
+        assert_eq!(
+            trimmed_mean(&[90.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 80.0]),
+            3.5
+        );
+        // n = 3 keeps 2.25 values: a quarter of the slowest one.
+        let v = trimmed_mean(&[9.0, 0.0, 3.0]);
+        assert!((v - 7.0 / 3.0).abs() < 1e-12, "{v}");
+        assert_eq!(trimmed_mean(&[7.0]), 7.0);
+        assert!(trimmed_mean(&[]).is_nan());
+        // Scaling every execution scales the figure: a slowdown shows.
+        let base = [0.31, 0.45, 0.44, 0.30, 0.46, 0.47];
+        let slower: Vec<f64> = base.iter().map(|v| v * 1.2).collect();
+        let ratio = trimmed_mean(&slower) / trimmed_mean(&base);
+        assert!((ratio - 1.2).abs() < 1e-12, "{ratio}");
+        // A bimodal mixture: one more fast execution moves the figure by
+        // a small step, where the median jumps between the modes.
+        let mix = |fast: usize| {
+            let mut v = vec![0.3; fast];
+            v.extend(vec![0.45; 16 - fast]);
+            v
+        };
+        assert_eq!(median(&mix(7)), 0.45);
+        assert_eq!(median(&mix(9)), 0.3);
+        let step = trimmed_mean(&mix(7)) - trimmed_mean(&mix(8));
+        assert!(step > 0.0 && step < 0.02, "{step}");
     }
 
     #[test]
