@@ -19,9 +19,7 @@
 use crate::codec::Codec;
 use crate::error::{Error, Result};
 use crate::operator::{Emitter, InputOperator, Operator, OperatorContext};
-use crate::stream::{
-    drain_encoded, drain_typed, BufferServer, EncodingPublisher, FrameSink, OperatorSink,
-};
+use crate::stream::{drain, BufferServer, EncodingPublisher, FrameSink, OperatorSink};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -297,7 +295,7 @@ impl<T: Send + 'static> OpHandle<T> {
                     let rx = server.subscriber();
                     let body = Box::new(move || {
                         let mut chain = OperatorSink::new(op, &ctx, sink_u, emitted);
-                        drain_typed(&rx, &mut chain);
+                        drain(&rx, &mut chain, |t| t);
                     });
                     dag.core.lock().tasks.push(TaskEntry {
                         name: name_owned,
@@ -326,7 +324,7 @@ impl<T: Send + 'static> OpHandle<T> {
                     let rx = server.subscriber();
                     let body = Box::new(move || {
                         let mut chain = OperatorSink::new(op, &ctx, sink_u, emitted);
-                        drain_encoded(&rx, &*codec, &mut chain);
+                        drain(&rx, &mut chain, |bytes| codec.decode(&bytes));
                     });
                     dag.core.lock().tasks.push(TaskEntry {
                         name: name_owned,

@@ -379,17 +379,22 @@ impl<T: Send + 'static> FrameSink<T> for EncodingPublisher<T> {
     }
 }
 
-/// Drains a subscriber into a frame sink, decoding if needed; returns when
-/// the stream ends. This is the body of a downstream container's event
-/// loop.
+/// Drains a subscriber into a frame sink, mapping every payload to a
+/// tuple (identity on typed streams, the codec's decode on encoded ones);
+/// returns when the stream ends. This is the body of a downstream
+/// container's event loop.
 ///
 /// Tuples already waiting in the queue are gathered opportunistically and
 /// handed downstream as one batch — an idle consumer still processes a
 /// lone tuple immediately (the blocking `recv` is per frame), but a busy
 /// stream amortizes the chain traversal over whole batches.
-pub fn drain_typed<T: Send>(rx: &Receiver<Frame<T>>, sink: &mut dyn FrameSink<T>) {
+pub fn drain<P: Send, T: Send>(
+    rx: &Receiver<Frame<P>>,
+    sink: &mut dyn FrameSink<T>,
+    mut to_tuple: impl FnMut(P) -> T,
+) {
     let mut batch: Vec<T> = Vec::new();
-    let mut pending: Option<Frame<T>> = None;
+    let mut pending: Option<Frame<P>> = None;
     loop {
         let frame = match pending.take() {
             Some(frame) => frame,
@@ -400,11 +405,11 @@ pub fn drain_typed<T: Send>(rx: &Receiver<Frame<T>>, sink: &mut dyn FrameSink<T>
         };
         match frame {
             Frame::Begin(w) => sink.begin_window(w),
-            Frame::Tuple(t) => {
-                batch.push(t);
+            Frame::Tuple(p) => {
+                batch.push(to_tuple(p));
                 while let Ok(next) = rx.try_recv() {
                     match next {
-                        Frame::Tuple(t) => batch.push(t),
+                        Frame::Tuple(p) => batch.push(to_tuple(p)),
                         other => {
                             pending = Some(other);
                             break;
@@ -422,49 +427,6 @@ pub fn drain_typed<T: Send>(rx: &Receiver<Frame<T>>, sink: &mut dyn FrameSink<T>
     }
     // Publisher vanished without EOS (upstream container died): still
     // close the chain so resources flush.
-    sink.end_stream();
-}
-
-/// Drains an encoded subscriber, decoding every tuple through `codec`;
-/// consecutive queued tuples are decoded into one batch (see
-/// [`drain_typed`] for the gathering strategy).
-pub fn drain_encoded<T: Send + 'static>(
-    rx: &Receiver<Frame<Vec<u8>>>,
-    codec: &dyn Codec<T>,
-    sink: &mut dyn FrameSink<T>,
-) {
-    let mut batch: Vec<T> = Vec::new();
-    let mut pending: Option<Frame<Vec<u8>>> = None;
-    loop {
-        let frame = match pending.take() {
-            Some(frame) => frame,
-            None => match rx.recv() {
-                Ok(frame) => frame,
-                Err(_) => break,
-            },
-        };
-        match frame {
-            Frame::Begin(w) => sink.begin_window(w),
-            Frame::Tuple(bytes) => {
-                batch.push(codec.decode(&bytes));
-                while let Ok(next) = rx.try_recv() {
-                    match next {
-                        Frame::Tuple(bytes) => batch.push(codec.decode(&bytes)),
-                        other => {
-                            pending = Some(other);
-                            break;
-                        }
-                    }
-                }
-                sink.tuple_batch(&mut batch);
-            }
-            Frame::End(w) => sink.end_window(w),
-            Frame::Eos => {
-                sink.end_stream();
-                return;
-            }
-        }
-    }
     sink.end_stream();
 }
 
@@ -506,6 +468,18 @@ mod tests {
     use super::*;
     use crate::codec::StringCodec;
     use crate::operator::FnOperator;
+
+    fn drain_typed<T: Send>(rx: &Receiver<Frame<T>>, sink: &mut dyn FrameSink<T>) {
+        drain(rx, sink, |t| t);
+    }
+
+    fn drain_encoded<T: Send + 'static>(
+        rx: &Receiver<Frame<Vec<u8>>>,
+        codec: &dyn Codec<T>,
+        sink: &mut dyn FrameSink<T>,
+    ) {
+        drain(rx, sink, |bytes| codec.decode(&bytes));
+    }
 
     #[test]
     fn operator_sink_propagates_windows() {

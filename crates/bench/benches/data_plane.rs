@@ -7,6 +7,10 @@
 //! element; the batched variant pays them once per batch and moves the
 //! elements through each operator body in bulk. The batched chain is
 //! expected to sustain at least 2x the per-element throughput.
+//!
+//! `channel_handoff` measures the layer below: one frame per tuple
+//! across threads through a bounded channel, as an apx buffer-server
+//! stream moves it.
 
 use beamline::{Coder, WindowedValue, WindowedValueCoder};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
@@ -114,5 +118,42 @@ fn data_plane(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, data_plane);
+/// 100,000 `Vec<u8>` frames from a producer thread to a consumer through
+/// `bounded(4096)` (the buffer-server capacity). The consumer gathers as
+/// an apx container does: a blocking `recv` per batch, then `try_recv`
+/// until the queue is empty. The figure is the channel's cost per frame,
+/// including the wake-ups of whichever side parks.
+fn channel_handoff(c: &mut Criterion) {
+    let mut group = c.benchmark_group("data_plane");
+    group.throughput(Throughput::Elements(N as u64));
+    group
+        .sample_size(10)
+        .warm_up_time(std::time::Duration::from_secs(1))
+        .measurement_time(std::time::Duration::from_secs(2));
+    group.bench_function("channel_handoff", |b| {
+        b.iter(|| {
+            let (tx, rx) = crossbeam::channel::bounded::<Vec<u8>>(4096);
+            let producer = std::thread::spawn(move || {
+                for x in 0..N {
+                    tx.send(x.to_le_bytes().to_vec()).unwrap();
+                }
+            });
+            let mut batch = Vec::new();
+            let mut received = 0usize;
+            while let Ok(frame) = rx.recv() {
+                batch.push(frame);
+                while let Ok(frame) = rx.try_recv() {
+                    batch.push(frame);
+                }
+                received += batch.len();
+                batch.clear();
+            }
+            producer.join().unwrap();
+            assert_eq!(received, N as usize);
+        });
+    });
+    group.finish();
+}
+
+criterion_group!(benches, data_plane, channel_handoff);
 criterion_main!(benches);

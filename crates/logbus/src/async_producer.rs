@@ -188,9 +188,11 @@ impl AsyncProducer {
         self.pending.load(Ordering::Acquire)
     }
 
-    /// Blocks until every record sent so far has been appended.
+    /// Blocks until every record sent so far has been appended, or until
+    /// the sender thread has finished: a worker that died with records
+    /// still queued can never ship them, so waiting longer would hang.
     pub fn flush(&self) {
-        while self.in_flight() > 0 {
+        while self.in_flight() > 0 && self.worker.as_ref().is_some_and(|w| !w.is_finished()) {
             std::thread::yield_now();
         }
     }
@@ -377,6 +379,30 @@ mod tests {
         let mut producer = AsyncProducer::new(broker, "missing", 0);
         producer.send(Record::from_value("x"));
         producer.close();
+    }
+
+    #[test]
+    fn flush_returns_when_the_worker_is_gone() {
+        // A sender thread that exits with a record still counted as
+        // pending (as one that panicked mid-batch would).
+        let (sender, receiver) = bounded::<Queued>(1);
+        let worker = std::thread::spawn(move || drop(receiver));
+        let mut producer = AsyncProducer {
+            sender: Some(sender),
+            worker: Some(worker),
+            max_batch: 1,
+            pending: Arc::new(AtomicU64::new(1)),
+        };
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            producer.flush();
+            producer.close();
+            let _ = done_tx.send(producer.in_flight());
+        });
+        let stranded = done_rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("flush must stop waiting once the worker has finished");
+        assert_eq!(stranded, 1, "the stranded record is still reported");
     }
 
     #[test]

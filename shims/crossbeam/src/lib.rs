@@ -1,10 +1,15 @@
 //! Offline shim for the `crossbeam::channel` API subset used by this
 //! workspace: multi-producer multi-consumer channels with optional
 //! capacity bounds, cloneable receivers, and disconnect semantics.
+//!
+//! Like crossbeam's `SyncWaker`, a send or receive wakes the other side
+//! only when a thread is parked there. Parked threads are counted under
+//! the channel mutex, so an uncontended handoff costs one lock and no
+//! futex wake syscall.
 
 pub mod channel {
     use std::collections::VecDeque;
-    use std::sync::{Arc, Condvar, Mutex};
+    use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
     /// Error returned by [`Sender::send`] when all receivers are gone.
     #[derive(Clone, Copy, PartialEq, Eq)]
@@ -34,6 +39,10 @@ pub mod channel {
         queue: VecDeque<T>,
         senders: usize,
         receivers: usize,
+        /// Receivers parked on `not_empty`.
+        recv_waiters: usize,
+        /// Senders parked on `not_full`.
+        send_waiters: usize,
     }
 
     struct Chan<T> {
@@ -82,6 +91,8 @@ pub mod channel {
                 queue: VecDeque::new(),
                 senders: 1,
                 receivers: 1,
+                recv_waiters: 0,
+                send_waiters: 0,
             }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
@@ -101,14 +112,19 @@ pub mod channel {
                 }
                 match self.chan.capacity {
                     Some(cap) if state.queue.len() >= cap => {
+                        state.send_waiters += 1;
                         state = self.chan.not_full.wait(state).expect("channel lock");
+                        state.send_waiters -= 1;
                     }
                     _ => break,
                 }
             }
             state.queue.push_back(value);
+            let wake = state.recv_waiters > 0;
             drop(state);
-            self.chan.not_empty.notify_one();
+            if wake {
+                self.chan.not_empty.notify_one();
+            }
             Ok(())
         }
     }
@@ -120,14 +136,15 @@ pub mod channel {
             let mut state = self.chan.state.lock().expect("channel lock");
             loop {
                 if let Some(value) = state.queue.pop_front() {
-                    drop(state);
-                    self.chan.not_full.notify_one();
+                    self.popped(state);
                     return Ok(value);
                 }
                 if state.senders == 0 {
                     return Err(RecvError);
                 }
+                state.recv_waiters += 1;
                 state = self.chan.not_empty.wait(state).expect("channel lock");
+                state.recv_waiters -= 1;
             }
         }
 
@@ -135,14 +152,23 @@ pub mod channel {
         pub fn try_recv(&self) -> Result<T, TryRecvError> {
             let mut state = self.chan.state.lock().expect("channel lock");
             if let Some(value) = state.queue.pop_front() {
-                drop(state);
-                self.chan.not_full.notify_one();
+                self.popped(state);
                 return Ok(value);
             }
             if state.senders == 0 {
                 Err(TryRecvError::Disconnected)
             } else {
                 Err(TryRecvError::Empty)
+            }
+        }
+
+        /// Releases the lock after a pop, then wakes one parked sender
+        /// if there is one: the pop freed a slot.
+        fn popped(&self, state: MutexGuard<'_, State<T>>) {
+            let wake = state.send_waiters > 0;
+            drop(state);
+            if wake {
+                self.chan.not_full.notify_one();
             }
         }
 
@@ -154,6 +180,15 @@ pub mod channel {
         /// Whether the queue is currently empty.
         pub fn is_empty(&self) -> bool {
             self.len() == 0
+        }
+    }
+
+    #[cfg(test)]
+    impl<T> Sender<T> {
+        /// Threads parked on the channel: `(receivers, senders)`.
+        pub(crate) fn parked(&self) -> (usize, usize) {
+            let state = self.chan.state.lock().expect("channel lock");
+            (state.recv_waiters, state.send_waiters)
         }
     }
 
@@ -200,7 +235,45 @@ pub mod channel {
 
 #[cfg(test)]
 mod tests {
-    use super::channel::{bounded, unbounded, RecvError, TryRecvError};
+    use super::channel::{bounded, unbounded, RecvError, SendError, TryRecvError};
+    use std::sync::mpsc;
+    use std::time::{Duration, Instant};
+
+    /// How long a woken thread may take before the test fails. Generous:
+    /// a lost wake-up never arrives, a slow one does.
+    const DEADLINE: Duration = Duration::from_secs(10);
+
+    /// Runs `f` on its own thread and returns a handle to its result, so
+    /// a thread stuck on a lost wake-up fails the test instead of hanging
+    /// it.
+    fn watched<R: Send + 'static>(f: impl FnOnce() -> R + Send + 'static) -> mpsc::Receiver<R> {
+        let (done_tx, done_rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = done_tx.send(f());
+        });
+        done_rx
+    }
+
+    fn within_deadline<R>(done: &mpsc::Receiver<R>, what: &str) -> R {
+        match done.recv_timeout(DEADLINE) {
+            Ok(result) => result,
+            Err(mpsc::RecvTimeoutError::Timeout) => panic!("{what}: not woken within {DEADLINE:?}"),
+            Err(mpsc::RecvTimeoutError::Disconnected) => panic!("{what}: thread panicked"),
+        }
+    }
+
+    /// Waits until `parked()` reports `want` `(receivers, senders)`.
+    fn await_parked(parked: impl Fn() -> (usize, usize), want: (usize, usize)) {
+        let start = Instant::now();
+        while parked() != want {
+            assert!(
+                start.elapsed() < DEADLINE,
+                "never parked: {:?} != {want:?}",
+                parked()
+            );
+            std::thread::yield_now();
+        }
+    }
 
     #[test]
     fn roundtrip_in_order() {
@@ -271,5 +344,121 @@ mod tests {
         }
         producer.join().unwrap();
         assert_eq!(sum, 10_000 * 9_999 / 2);
+    }
+
+    #[test]
+    fn parked_receiver_is_woken_by_send() {
+        let (tx, rx) = unbounded::<u32>();
+        let done = watched(move || rx.recv());
+        await_parked(|| tx.parked(), (1, 0));
+        tx.send(7).unwrap();
+        assert_eq!(within_deadline(&done, "parked recv"), Ok(7));
+        assert_eq!(tx.parked(), (0, 0));
+    }
+
+    #[test]
+    fn parked_sender_is_woken_by_recv() {
+        let (tx, rx) = bounded(1);
+        tx.send(1).unwrap();
+        let probe = tx.clone();
+        let done = watched(move || tx.send(2));
+        await_parked(|| probe.parked(), (0, 1));
+        assert_eq!(rx.recv(), Ok(1));
+        assert!(within_deadline(&done, "sender parked on full").is_ok());
+        assert_eq!(rx.recv(), Ok(2));
+    }
+
+    #[test]
+    fn parked_sender_is_woken_by_try_recv() {
+        let (tx, rx) = bounded(1);
+        tx.send(1).unwrap();
+        let probe = tx.clone();
+        let done = watched(move || tx.send(2));
+        await_parked(|| probe.parked(), (0, 1));
+        assert_eq!(rx.try_recv(), Ok(1));
+        assert!(within_deadline(&done, "sender parked on full").is_ok());
+        assert_eq!(rx.try_recv(), Ok(2));
+    }
+
+    #[test]
+    fn mpmc_stress_delivers_every_message_once() {
+        const SENDERS: u64 = 4;
+        const PER_SENDER: u64 = 5_000;
+        for capacity in [1, 4] {
+            let done = watched(move || {
+                let (tx, rx) = bounded::<u64>(capacity);
+                let receivers: Vec<_> = (0..2)
+                    .map(|_| {
+                        let rx = rx.clone();
+                        std::thread::spawn(move || {
+                            let mut got = Vec::new();
+                            while let Ok(v) = rx.recv() {
+                                got.push(v);
+                            }
+                            got
+                        })
+                    })
+                    .collect();
+                drop(rx);
+                let senders: Vec<_> = (0..SENDERS)
+                    .map(|s| {
+                        let tx = tx.clone();
+                        std::thread::spawn(move || {
+                            for i in 0..PER_SENDER {
+                                tx.send(s * PER_SENDER + i).unwrap();
+                            }
+                        })
+                    })
+                    .collect();
+                drop(tx);
+                for sender in senders {
+                    sender.join().unwrap();
+                }
+                let mut all: Vec<u64> = receivers
+                    .into_iter()
+                    .flat_map(|r| r.join().unwrap())
+                    .collect();
+                all.sort_unstable();
+                all
+            });
+            let all = within_deadline(&done, &format!("mpmc stress, bounded({capacity})"));
+            assert_eq!(
+                all,
+                (0..SENDERS * PER_SENDER).collect::<Vec<_>>(),
+                "bounded({capacity}): every message exactly once"
+            );
+        }
+    }
+
+    #[test]
+    fn last_sender_drop_wakes_parked_receiver() {
+        let (tx, rx) = unbounded::<u32>();
+        let tx2 = tx.clone();
+        let done = watched(move || rx.recv());
+        await_parked(|| tx.parked(), (1, 0));
+        drop(tx2);
+        assert_eq!(tx.parked(), (1, 0), "a sender remains: still parked");
+        drop(tx);
+        assert_eq!(
+            within_deadline(&done, "recv after disconnect"),
+            Err(RecvError)
+        );
+    }
+
+    #[test]
+    fn last_receiver_drop_wakes_parked_sender() {
+        let (tx, rx) = bounded(1);
+        tx.send(1).unwrap();
+        let rx2 = rx.clone();
+        let probe = tx.clone();
+        let done = watched(move || tx.send(2));
+        await_parked(|| probe.parked(), (0, 1));
+        drop(rx2);
+        assert_eq!(probe.parked(), (0, 1), "a receiver remains: still parked");
+        drop(rx);
+        assert_eq!(
+            within_deadline(&done, "send after disconnect"),
+            Err(SendError(2))
+        );
     }
 }
