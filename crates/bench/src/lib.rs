@@ -1,10 +1,7 @@
 //! Shared helpers for the benchmark binaries and Criterion benches.
 
 use logbus::{Broker, TopicConfig};
-use streambench_core::{
-    beam_pipeline, fresh_yarn_cluster, native_apx, native_dstream, native_rill, send_workload, Api,
-    Query, SenderConfig, Setup, System,
-};
+use streambench_core::{execute_setup, send_workload, BenchConfig, Query, SenderConfig, Setup};
 
 /// A broker preloaded with `records` workload records in `input`.
 ///
@@ -41,62 +38,7 @@ pub fn execute_setup_once(broker: &Broker, query: Query, setup: Setup, tag: u64)
     broker
         .create_topic(&output, TopicConfig::default())
         .expect("create output topic");
-    match (setup.system, setup.api) {
-        (System::Rill, Api::Native) => {
-            native_rill(broker, query, "input", &output, setup.parallelism)
-                .map(drop)
-                .unwrap();
-        }
-        (System::DStream, Api::Native) => {
-            native_dstream(broker, query, "input", &output, setup.parallelism, 2_000)
-                .map(drop)
-                .unwrap();
-        }
-        (System::Apx, Api::Native) => {
-            let mut rm = fresh_yarn_cluster();
-            native_apx(
-                broker,
-                query,
-                "input",
-                &output,
-                setup.parallelism as u32,
-                &mut rm,
-            )
-            .map(drop)
-            .unwrap();
-        }
-        (system, Api::Beam) => {
-            use beamline::PipelineRunner;
-            let pipeline = beam_pipeline(broker, query, "input", &output);
-            let result = match system {
-                System::Rill => beamline::runners::RillRunner::new()
-                    .with_parallelism(setup.parallelism)
-                    .run(&pipeline),
-                System::DStream => beamline::runners::DStreamRunner::new()
-                    .with_parallelism(setup.parallelism)
-                    .with_batch_records(2_000)
-                    .run(&pipeline),
-                System::Apx => beamline::runners::ApxRunner::new()
-                    .with_vcores(setup.parallelism as u32)
-                    .run(&pipeline),
-            };
-            result.map(drop).unwrap();
-        }
-    }
+    let batch = BenchConfig::default().dstream_batch_records;
+    execute_setup(broker, setup, query, "input", &output, None, batch).expect("execute setup");
     output
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn helpers_run_every_setup() {
-        let broker = loaded_broker(200, 0);
-        for (i, setup) in streambench_core::all_setups(&[1]).into_iter().enumerate() {
-            let topic = execute_setup_once(&broker, Query::Grep, setup, i as u64);
-            let n = broker.latest_offset(&topic, 0).unwrap();
-            assert_eq!(n, streambench_core::data::expected_grep_hits(200));
-        }
-    }
 }

@@ -9,7 +9,7 @@
 //! Everything lives in one `#[test]` because the obs switch is
 //! process-global and test threads share it.
 
-use streambench_core::{run_latency, LatencyConfig};
+use streambench_core::{run_latency, CampaignConfig, Trials};
 
 #[test]
 fn disabled_path_is_dark_and_gate_activates_latency_telemetry() {
@@ -17,11 +17,13 @@ fn disabled_path_is_dark_and_gate_activates_latency_telemetry() {
     // have flipped it.
     assert!(!obs::enabled(), "obs must default to disabled");
 
-    let config = LatencyConfig::default()
-        .records(120)
-        .warmup_records(0)
-        .rates(vec![6_000.0])
-        .parallelisms(vec![1]);
+    let config = CampaignConfig {
+        records: 120,
+        warmup_records: 0,
+        trials: Trials::Rates(vec![6_000.0]),
+        parallelisms: vec![1],
+        ..CampaignConfig::latency()
+    };
     let report = run_latency(&config).expect("latency sweep");
     assert_eq!(report.cells.len(), 6);
 
@@ -53,7 +55,11 @@ fn disabled_path_is_dark_and_gate_activates_latency_telemetry() {
     obs::set_enabled(true);
     if obs::enabled() {
         obs::global().reset();
-        let config = config.records(60).rates(vec![6_000.0]);
+        let config = CampaignConfig {
+            records: 60,
+            trials: Trials::Rates(vec![6_000.0]),
+            ..config
+        };
         run_latency(&config).expect("instrumented latency sweep");
         let snapshot = obs::global().registry().snapshot();
         let e2e = snapshot

@@ -1,5 +1,8 @@
-//! Benchmark configuration.
+//! Benchmark and campaign configuration.
 
+use crate::queries::Query;
+use crate::runner::BenchError;
+use crate::setup::{Api, Setup, System};
 use logbus::Acks;
 
 /// Configuration of a full benchmark campaign.
@@ -8,8 +11,7 @@ use logbus::Acks;
 /// `parallelisms = [1, 2]`. Reproduction runs default to a scaled-down
 /// workload so the full matrix finishes quickly; per-record costs scale
 /// linearly, so ratios (orderings, slowdown factors) are preserved.
-/// Override with the `STREAMBENCH_RECORDS` and `STREAMBENCH_RUNS`
-/// environment variables or the builder methods.
+/// Override with the builder methods.
 #[derive(Debug, Clone)]
 pub struct BenchConfig {
     /// Input records per query benchmark.
@@ -28,7 +30,8 @@ pub struct BenchConfig {
     pub sender_acks: Acks,
     /// Micro-batch size of the `dstream` engine.
     pub dstream_batch_records: usize,
-    /// Streaming-window size of the `apx` engine.
+    /// Streaming-window size of the `apx` engine: the `ApxRunner`
+    /// default, for callers that build the Beam runner themselves.
     pub apx_window_size: usize,
     /// Seed of the environment-noise model; `None` disables noise (the
     /// default — only the variance experiments enable it).
@@ -46,8 +49,8 @@ pub struct BenchConfig {
 impl Default for BenchConfig {
     fn default() -> Self {
         BenchConfig {
-            records: env_u64("STREAMBENCH_RECORDS", 20_000),
-            runs: env_u64("STREAMBENCH_RUNS", 3) as u32,
+            records: 20_000,
+            runs: 3,
             parallelisms: vec![1, 2],
             request_latency_micros: 25,
             seed: 2019,
@@ -61,38 +64,7 @@ impl Default for BenchConfig {
     }
 }
 
-pub(crate) fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-pub(crate) fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-/// Parses a comma-separated list (`"500,2000"`) into numbers, skipping
-/// malformed entries. `None` when the variable is unset or yields no
-/// usable value.
-pub(crate) fn env_list<T: std::str::FromStr>(name: &str) -> Option<Vec<T>> {
-    let raw = std::env::var(name).ok()?;
-    let values: Vec<T> = raw
-        .split(',')
-        .filter_map(|part| part.trim().parse().ok())
-        .collect();
-    (!values.is_empty()).then_some(values)
-}
-
 impl BenchConfig {
-    /// The default configuration (environment-aware).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// A tiny configuration for tests: 2,000 records, 2 runs, no
     /// simulated latency.
     pub fn quick() -> Self {
@@ -163,6 +135,159 @@ impl BenchConfig {
     }
 }
 
+/// A trial is sustainable only if its p99 latency is within this bound,
+/// µs.
+pub const P99_BOUND_MICROS: u64 = 200_000;
+
+/// A trial is sustainable only if the output topic's append span is at
+/// most this multiple of the offered arrival span: an engine that needs
+/// much longer than the arrival window to drain is falling behind.
+pub const CATCHUP_RATIO: f64 = 1.5;
+
+/// What a campaign's trials vary per cell — the only part in which the
+/// latency, scale-out and failover campaigns differ.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Trials {
+    /// One open-loop trial per offered rate, records per second.
+    Rates(Vec<f64>),
+    /// Binary-search the max sustainable open-loop rate in
+    /// `[min_rate, max_rate]` for up to `iters` bisection rounds.
+    Search {
+        /// The search floor, records per second.
+        min_rate: f64,
+        /// The search ceiling, records per second.
+        max_rate: f64,
+        /// Bisection rounds after the ceiling and floor probes.
+        iters: u32,
+    },
+    /// Partition-leader kills injected while each cell runs against a
+    /// replicated cluster.
+    Kills(u32),
+}
+
+/// Configuration of a latency, scale-out or failover campaign: the
+/// (system, SDK) cells × parallelisms matrix, the workload, and the
+/// trial kind.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CampaignConfig {
+    /// The query under test.
+    pub query: Query,
+    /// Input records per trial.
+    pub records: u64,
+    /// Leading records excluded from latency statistics (engine
+    /// startup transients: container allocation, first-batch effects).
+    pub warmup_records: u64,
+    /// Parallelism degrees per (system, SDK) cell.
+    pub parallelisms: Vec<usize>,
+    /// The (system, SDK) cells to run.
+    pub cells: Vec<(System, Api)>,
+    /// Workload seed.
+    pub seed: u64,
+    /// What the trials of each cell vary.
+    pub trials: Trials,
+}
+
+impl CampaignConfig {
+    /// The latency sweep: all six cells at parallelism 1 and 2, each
+    /// offered 500, 2,000 and 8,000 records per second.
+    pub fn latency() -> Self {
+        CampaignConfig {
+            query: Query::Identity,
+            records: 2_000,
+            warmup_records: 200,
+            parallelisms: vec![1, 2],
+            cells: System::ALL
+                .iter()
+                .flat_map(|&system| Api::ALL.iter().map(move |&api| (system, api)))
+                .collect(),
+            seed: 2019,
+            trials: Trials::Rates(vec![500.0, 2_000.0, 8_000.0]),
+        }
+    }
+
+    /// The scale-out search over parallelism 1 to 32: the paper's
+    /// headline pair (native rill vs beamline-on-rill) plus the native
+    /// dstream and apx engines, so every system is covered.
+    pub fn scaleout() -> Self {
+        CampaignConfig {
+            records: 1_500,
+            parallelisms: vec![1, 2, 4, 8, 16, 32],
+            cells: vec![
+                (System::Rill, Api::Native),
+                (System::Rill, Api::Beam),
+                (System::DStream, Api::Native),
+                (System::Apx, Api::Native),
+            ],
+            trials: Trials::Search {
+                min_rate: 500.0,
+                max_rate: 64_000.0,
+                iters: 5,
+            },
+            ..Self::latency()
+        }
+    }
+
+    /// The kill-the-leader campaign: all six cells at parallelism 1
+    /// (which keeps the byte-identity check order-sensitive), two kills
+    /// per cell.
+    pub fn failover() -> Self {
+        CampaignConfig {
+            parallelisms: vec![1],
+            trials: Trials::Kills(2),
+            ..Self::latency()
+        }
+    }
+
+    /// The cell matrix: for each configured (system, SDK) pair, one
+    /// setup per parallelism degree in ascending order.
+    pub fn setups(&self) -> Vec<Setup> {
+        let mut parallelisms = self.parallelisms.clone();
+        parallelisms.sort_unstable();
+        parallelisms.dedup();
+        self.cells
+            .iter()
+            .flat_map(|&(system, api)| {
+                parallelisms.iter().map(move |&parallelism| Setup {
+                    system,
+                    api,
+                    parallelism,
+                })
+            })
+            .collect()
+    }
+
+    /// Checks that the campaign has something to run.
+    ///
+    /// # Errors
+    ///
+    /// [`BenchError::Config`] for zero records, an empty cell or
+    /// parallelism list, a zero parallelism, a missing or non-positive
+    /// rate, or an inverted search bracket.
+    pub fn validate(&self) -> Result<(), BenchError> {
+        let positive = |rate: f64| rate.is_finite() && rate > 0.0;
+        let problem = if self.records == 0 {
+            Some("no records per trial".to_string())
+        } else if self.cells.is_empty() {
+            Some("no cells configured".to_string())
+        } else if self.parallelisms.is_empty() || self.parallelisms.contains(&0) {
+            Some(format!("invalid parallelisms {:?}", self.parallelisms))
+        } else {
+            match &self.trials {
+                Trials::Rates(rates) if rates.is_empty() || !rates.iter().all(|&r| positive(r)) => {
+                    Some(format!("invalid offered rates {rates:?}"))
+                }
+                Trials::Search {
+                    min_rate, max_rate, ..
+                } if !(positive(*min_rate) && positive(*max_rate) && max_rate >= min_rate) => {
+                    Some(format!("invalid rate bracket [{min_rate}, {max_rate}]"))
+                }
+                _ => None,
+            }
+        };
+        problem.map_or(Ok(()), |p| Err(BenchError::Config(p)))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -201,20 +326,5 @@ mod tests {
     #[should_panic(expected = "at least one parallelism")]
     fn empty_parallelisms_panics() {
         let _ = BenchConfig::quick().parallelisms(vec![]);
-    }
-
-    #[test]
-    fn env_helpers_parse_and_default() {
-        std::env::set_var("STREAMBENCH_TEST_U64", "7");
-        assert_eq!(env_u64("STREAMBENCH_TEST_U64", 1), 7);
-        assert_eq!(env_u64("STREAMBENCH_TEST_U64_UNSET", 1), 1);
-        std::env::set_var("STREAMBENCH_TEST_F64", "2.5");
-        assert!((env_f64("STREAMBENCH_TEST_F64", 0.0) - 2.5).abs() < 1e-12);
-        std::env::set_var("STREAMBENCH_TEST_LIST", "500, 2000,junk");
-        assert_eq!(
-            env_list::<u64>("STREAMBENCH_TEST_LIST"),
-            Some(vec![500, 2000])
-        );
-        assert_eq!(env_list::<u64>("STREAMBENCH_TEST_LIST_UNSET"), None);
     }
 }

@@ -16,87 +16,34 @@
 //! idempotent producer retries, every engine rides through the kills
 //! with **byte-identical** output. The chaos thread also measures each
 //! partition's unavailability window (leader kill until the partition
-//! serves again under its successor), the number the EXPERIMENTS.md
-//! failover appendix reports as percentiles.
+//! serves again under its successor) into an [`obs::Histogram`], whose
+//! percentiles the EXPERIMENTS.md failover appendix reports.
 
-use crate::config::env_u64;
+use crate::config::{CampaignConfig, Trials};
 use crate::data::QueryLogGenerator;
-use crate::queries::{self, Query};
-use crate::runner::{fresh_yarn_cluster_for, BenchError};
+use crate::queries::Query;
+use crate::report::{json_array, JsonObject};
+use crate::runner::{execute_setup, BenchError};
 use crate::sender::{send_workload, SenderConfig};
-use crate::setup::{Api, Setup, System};
-use beamline::runners::{ApxRunner, DStreamRunner, RillRunner};
-use beamline::PipelineRunner;
+use crate::setup::Setup;
 use bytes::Bytes;
 use logbus::{Cluster, ClusterConfig, TopicConfig};
+use obs::HistogramSnapshot;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Configuration of a failover campaign.
-#[derive(Debug, Clone)]
-pub struct FailoverConfig {
-    /// Input records per cell.
-    pub records: u64,
-    /// The query under test.
-    pub query: Query,
-    /// Broker count of the replicated cluster (the paper's Kafka
-    /// cluster has three nodes).
-    pub brokers: u32,
-    /// Leader kills injected while each cell's engine runs.
-    pub kills_per_cell: u32,
-    /// How long a killed broker stays down before it is restarted, in
-    /// milliseconds. The cluster serves on the surviving replicas for
-    /// the whole window.
-    pub hold_millis: u64,
-    /// Micro-batch size of the `dstream` engine.
-    pub dstream_batch_records: usize,
-    /// Workload seed.
-    pub seed: u64,
-    /// The (system, API) cells to run. Defaults to all six variants.
-    pub cells: Vec<(System, Api)>,
-    /// Engine parallelism (1 keeps the byte-identity check
-    /// order-sensitive).
-    pub parallelism: usize,
-}
+/// Broker count of the replicated cluster (the paper's Kafka cluster
+/// has three nodes).
+const BROKERS: u32 = 3;
 
-impl Default for FailoverConfig {
-    fn default() -> Self {
-        FailoverConfig {
-            records: 2_000,
-            query: Query::Identity,
-            brokers: 3,
-            kills_per_cell: 2,
-            hold_millis: 10,
-            dstream_batch_records: 256,
-            seed: 2019,
-            cells: System::ALL
-                .iter()
-                .flat_map(|&system| Api::ALL.iter().map(move |&api| (system, api)))
-                .collect(),
-            parallelism: 1,
-        }
-    }
-}
+/// How long a killed broker stays down before it is restarted; the
+/// cluster serves on the surviving replicas for the whole window.
+const HOLD: Duration = Duration::from_millis(10);
 
-impl FailoverConfig {
-    /// The default configuration with `STREAMBENCH_FAILOVER_*`
-    /// environment overrides applied: `RECORDS`, `BROKERS`, `KILLS`,
-    /// and `HOLD_MILLIS`.
-    pub fn from_env() -> Self {
-        let default = FailoverConfig::default();
-        FailoverConfig {
-            records: env_u64("STREAMBENCH_FAILOVER_RECORDS", default.records),
-            brokers: env_u64("STREAMBENCH_FAILOVER_BROKERS", u64::from(default.brokers)) as u32,
-            kills_per_cell: env_u64(
-                "STREAMBENCH_FAILOVER_KILLS",
-                u64::from(default.kills_per_cell),
-            ) as u32,
-            hold_millis: env_u64("STREAMBENCH_FAILOVER_HOLD_MILLIS", default.hold_millis),
-            ..default
-        }
-    }
-}
+/// Micro-batch size of the `dstream` engine: small, so kills land
+/// between batches of a running job.
+const DSTREAM_BATCH_RECORDS: usize = 256;
 
 /// One completed failover cell.
 #[derive(Debug, Clone)]
@@ -116,42 +63,28 @@ pub struct FailoverCell {
     /// Broker containers the YARN node failures displaced (and the RM
     /// re-placed on healthy hosts).
     pub displaced_containers: u32,
-    /// Per-kill unavailability windows: leader kill until the
-    /// partition served a committed request again, µs.
-    pub unavailability_micros: Vec<u64>,
+    /// Per-kill unavailability windows (leader kill until the partition
+    /// served a committed request again), µs: one sample per kill.
+    pub unavailability: HistogramSnapshot,
 }
 
 /// Aggregated outcome of a failover campaign.
 #[derive(Debug, Clone)]
 pub struct FailoverReport {
-    /// The query under test.
-    pub query: Query,
-    /// Broker count of the replicated cluster.
-    pub brokers: u32,
-    /// Input records per cell.
-    pub records: u64,
+    /// The campaign that ran.
+    pub config: CampaignConfig,
     /// One entry per executed cell.
     pub cells: Vec<FailoverCell>,
 }
 
-/// Nearest-rank percentile over an unsorted sample; 0 for empty input.
-pub fn percentile_micros(samples: &[u64], pct: f64) -> u64 {
-    if samples.is_empty() {
-        return 0;
-    }
-    let mut sorted = samples.to_vec();
-    sorted.sort_unstable();
-    let rank = ((pct / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
 impl FailoverReport {
     /// All unavailability windows of the campaign, µs.
-    pub fn unavailability_micros(&self) -> Vec<u64> {
-        self.cells
-            .iter()
-            .flat_map(|c| c.unavailability_micros.iter().copied())
-            .collect()
+    pub fn unavailability(&self) -> HistogramSnapshot {
+        let mut all = HistogramSnapshot::empty();
+        for cell in &self.cells {
+            all.merge(&cell.unavailability);
+        }
+        all
     }
 
     /// Whether every cell produced the byte-identical reference output.
@@ -159,40 +92,35 @@ impl FailoverReport {
         self.cells.iter().all(|c| c.output_ok)
     }
 
-    /// The report as one JSON object (hand-rolled, schema-stable).
+    /// The report as one JSON object (schema asserted by CI's
+    /// `failover-smoke` job).
     pub fn to_json(&self) -> String {
-        let windows = self.unavailability_micros();
-        let mut out = format!(
-            "{{\"query\":\"{}\",\"brokers\":{},\"records\":{},\
-             \"unavailability\":{{\"samples\":{},\"p50_micros\":{},\"p99_micros\":{},\"max_micros\":{}}},\
-             \"cells\":[",
-            self.query,
-            self.brokers,
-            self.records,
-            windows.len(),
-            percentile_micros(&windows, 50.0),
-            percentile_micros(&windows, 99.0),
-            windows.iter().copied().max().unwrap_or(0),
-        );
-        for (i, cell) in self.cells.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"setup\":\"{}\",\"output_records\":{},\"output_ok\":{},\"kills\":{},\
-                 \"input_epoch\":{},\"displaced_containers\":{},\"p50_micros\":{},\"max_micros\":{}}}",
-                cell.setup,
-                cell.output_records,
-                cell.output_ok,
-                cell.kills,
-                cell.input_epoch,
-                cell.displaced_containers,
-                percentile_micros(&cell.unavailability_micros, 50.0),
-                cell.unavailability_micros.iter().copied().max().unwrap_or(0),
-            ));
-        }
-        out.push_str("]}");
-        out
+        let all = self.unavailability();
+        let unavailability = JsonObject::default()
+            .num("samples", all.count)
+            .num("p50_micros", all.p50())
+            .num("p99_micros", all.p99())
+            .num("max_micros", all.max)
+            .finish();
+        let cells = json_array(&self.cells, |cell| {
+            JsonObject::default()
+                .str("setup", &cell.setup.to_string())
+                .num("output_records", cell.output_records)
+                .num("output_ok", cell.output_ok)
+                .num("kills", cell.kills)
+                .num("input_epoch", cell.input_epoch)
+                .num("displaced_containers", cell.displaced_containers)
+                .num("p50_micros", cell.unavailability.p50())
+                .num("max_micros", cell.unavailability.max)
+                .finish()
+        });
+        JsonObject::default()
+            .str("query", &self.config.query.to_string())
+            .num("brokers", BROKERS)
+            .num("records", self.config.records)
+            .raw("unavailability", &unavailability)
+            .raw("cells", &cells)
+            .finish()
     }
 }
 
@@ -204,7 +132,6 @@ impl FailoverReport {
 /// broker restarts on another machine" means here.
 struct BrokerHosts {
     rm: yarnsim::ResourceManager,
-    app: yarnsim::ApplicationId,
     /// Broker index → the node currently hosting its container.
     hosts: Vec<yarnsim::NodeId>,
     displaced: u32,
@@ -241,7 +168,6 @@ impl BrokerHosts {
         }
         Ok(BrokerHosts {
             rm,
-            app,
             hosts,
             displaced: 0,
         })
@@ -261,11 +187,8 @@ impl BrokerHosts {
         }
         // A fresh machine replaces the failed one, keeping capacity for
         // the next kill.
-        let fresh = self
-            .rm
+        self.rm
             .register_node(yarnsim::Resource::new(HOST_CAPACITY.0, HOST_CAPACITY.1));
-        let _ = self.app; // the fleet application stays registered
-        let _ = fresh;
     }
 }
 
@@ -273,7 +196,7 @@ impl BrokerHosts {
 struct ChaosOutcome {
     kills: u32,
     displaced: u32,
-    unavailability_micros: Vec<u64>,
+    unavailability: obs::Histogram,
 }
 
 /// Runs the kill-the-leader campaign.
@@ -283,29 +206,21 @@ struct ChaosOutcome {
 /// Fails on cluster errors outside the chaos window (topic creation,
 /// workload load) or when an engine run fails outright; kills landing
 /// mid-run are expected to be survived, not retried.
-pub fn run_failover(config: &FailoverConfig) -> Result<FailoverReport, BenchError> {
-    if config.brokers < 2 {
-        return Err(BenchError::Broker(
-            "failover needs at least two brokers".into(),
+pub fn run_failover(config: &CampaignConfig) -> Result<FailoverReport, BenchError> {
+    config.validate()?;
+    let Trials::Kills(kills) = config.trials else {
+        return Err(BenchError::Config(
+            "a failover campaign needs a kill count".into(),
         ));
-    }
-    if config.cells.is_empty() {
-        return Err(BenchError::Broker("no failover cells configured".into()));
-    }
+    };
     let expected = reference(config.query, config.records, config.seed);
-    let mut cells = Vec::new();
-    for &(system, api) in &config.cells {
-        let setup = Setup {
-            system,
-            api,
-            parallelism: config.parallelism,
-        };
-        cells.push(run_cell(config, setup, &expected)?);
-    }
+    let cells = config
+        .setups()
+        .into_iter()
+        .map(|setup| run_cell(config, setup, kills, &expected))
+        .collect::<Result<_, _>>()?;
     Ok(FailoverReport {
-        query: config.query,
-        brokers: config.brokers,
-        records: config.records,
+        config: config.clone(),
         cells,
     })
 }
@@ -321,16 +236,15 @@ fn reference(query: Query, records: u64, seed: u64) -> Vec<Bytes> {
 }
 
 fn run_cell(
-    config: &FailoverConfig,
+    config: &CampaignConfig,
     setup: Setup,
+    kills: u32,
     expected: &[Bytes],
 ) -> Result<FailoverCell, BenchError> {
     let mut span = obs::span("failover.cell");
     span.field("setup", setup.to_string());
-    let cluster = Cluster::new(ClusterConfig {
-        brokers: config.brokers,
-    });
-    let replication = TopicConfig::default().replication_factor(config.brokers);
+    let cluster = Cluster::new(ClusterConfig { brokers: BROKERS });
+    let replication = TopicConfig::default().replication_factor(BROKERS);
     cluster.create_topic("input", replication.clone())?;
     cluster.create_topic("output", replication)?;
     send_workload(
@@ -344,17 +258,19 @@ fn run_cell(
         },
     )?;
 
-    let hosts = BrokerHosts::new(config.brokers)?;
+    let hosts = BrokerHosts::new(BROKERS)?;
     let stop = Arc::new(AtomicBool::new(false));
-    let chaos = spawn_chaos(
-        cluster.clone(),
-        hosts,
-        stop.clone(),
-        config.kills_per_cell,
-        config.hold_millis,
-    );
+    let chaos = spawn_chaos(cluster.clone(), hosts, stop.clone(), kills);
 
-    let exec = execute_cell(config, &cluster, setup);
+    let exec = execute_setup(
+        &cluster,
+        setup,
+        config.query,
+        "input",
+        "output",
+        None,
+        DSTREAM_BATCH_RECORDS,
+    );
     stop.store(true, Ordering::Release);
     let outcome = chaos
         .join()
@@ -373,7 +289,7 @@ fn run_cell(
         kills: outcome.kills,
         input_epoch: cluster.leader_epoch("input", 0)?,
         displaced_containers: outcome.displaced,
-        unavailability_micros: outcome.unavailability_micros,
+        unavailability: outcome.unavailability.snapshot(),
     })
 }
 
@@ -387,13 +303,12 @@ fn spawn_chaos(
     mut hosts: BrokerHosts,
     stop: Arc<AtomicBool>,
     kills: u32,
-    hold_millis: u64,
 ) -> std::thread::JoinHandle<ChaosOutcome> {
     std::thread::spawn(move || {
         let mut outcome = ChaosOutcome {
             kills: 0,
             displaced: 0,
-            unavailability_micros: Vec::new(),
+            unavailability: obs::Histogram::new(),
         };
         for kill in 0..kills {
             let topic = if kill % 2 == 0 { "input" } else { "output" };
@@ -426,10 +341,10 @@ fn spawn_chaos(
                 std::thread::yield_now();
             }
             outcome
-                .unavailability_micros
-                .push(killed_at.elapsed().as_micros() as u64);
+                .unavailability
+                .record(killed_at.elapsed().as_micros() as u64);
             outcome.kills += 1;
-            std::thread::sleep(Duration::from_millis(hold_millis));
+            std::thread::sleep(HOLD);
             // The replacement container is up: the broker process
             // restarts, truncates its unacknowledged tail, and catches
             // back up into the in-sync set.
@@ -440,78 +355,46 @@ fn spawn_chaos(
     })
 }
 
-fn execute_cell(
-    config: &FailoverConfig,
-    cluster: &Cluster,
-    setup: Setup,
-) -> Result<(), BenchError> {
-    let fail = |message: String| BenchError::Execution {
-        setup: setup.to_string(),
-        message,
-    };
-    match (setup.system, setup.api) {
-        (System::Rill, Api::Native) => {
-            queries::native_rill(cluster, config.query, "input", "output", setup.parallelism)
-                .map(drop)
-                .map_err(|e| fail(e.to_string()))
-        }
-        (System::DStream, Api::Native) => queries::native_dstream(
-            cluster,
-            config.query,
-            "input",
-            "output",
-            setup.parallelism,
-            config.dstream_batch_records,
-        )
-        .map(drop)
-        .map_err(|e| fail(e.to_string())),
-        (System::Apx, Api::Native) => {
-            let mut rm = fresh_yarn_cluster_for(setup.parallelism);
-            queries::native_apx(
-                cluster,
-                config.query,
-                "input",
-                "output",
-                setup.parallelism as u32,
-                &mut rm,
-            )
-            .map(drop)
-            .map_err(|e| fail(e.to_string()))
-        }
-        (system, Api::Beam) => {
-            let pipeline = queries::beam_pipeline(cluster, config.query, "input", "output");
-            let runner: Box<dyn PipelineRunner> = match system {
-                System::Rill => Box::new(
-                    RillRunner::new()
-                        .with_parallelism(setup.parallelism)
-                        .with_cluster(rill::ClusterSpec::local_for(setup.parallelism)),
-                ),
-                System::DStream => Box::new(
-                    DStreamRunner::new()
-                        .with_parallelism(setup.parallelism)
-                        .with_batch_records(config.dstream_batch_records),
-                ),
-                System::Apx => Box::new(ApxRunner::new().with_vcores(setup.parallelism as u32)),
-            };
-            runner
-                .run(&pipeline)
-                .map(drop)
-                .map_err(|e| fail(e.to_string()))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::setup::{Api, System};
 
     #[test]
-    fn percentiles_nearest_rank() {
-        let samples = [40u64, 10, 30, 20];
-        assert_eq!(percentile_micros(&samples, 50.0), 20);
-        assert_eq!(percentile_micros(&samples, 99.0), 40);
-        assert_eq!(percentile_micros(&samples, 100.0), 40);
-        assert_eq!(percentile_micros(&[], 50.0), 0);
+    fn unavailability_percentiles_come_from_obs_histograms() {
+        let cell = |samples: &[u64]| {
+            let histogram = obs::Histogram::new();
+            for &sample in samples {
+                histogram.record(sample);
+            }
+            FailoverCell {
+                setup: Setup {
+                    system: System::Rill,
+                    api: Api::Native,
+                    parallelism: 1,
+                },
+                output_records: 0,
+                output_ok: true,
+                kills: samples.len() as u32,
+                input_epoch: 1,
+                displaced_containers: 1,
+                unavailability: histogram.snapshot(),
+            }
+        };
+        // Below 16 µs the histogram is exact: nearest-rank percentiles
+        // over the merged cells.
+        let report = FailoverReport {
+            config: CampaignConfig::failover(),
+            cells: vec![cell(&[4, 2]), cell(&[8, 6])],
+        };
+        let json = report.to_json();
+        assert!(
+            json.contains(
+                "\"unavailability\":{\"samples\":4,\"p50_micros\":4,\"p99_micros\":8,\"max_micros\":8}"
+            ),
+            "{json}"
+        );
+        assert!(json.contains("\"p50_micros\":2,\"max_micros\":4"), "{json}");
     }
 
     #[test]
@@ -532,26 +415,25 @@ mod tests {
 
     #[test]
     fn rejects_degenerate_configs() {
-        let config = FailoverConfig {
-            brokers: 1,
-            ..FailoverConfig::default()
+        let config = CampaignConfig {
+            trials: Trials::Rates(vec![500.0]),
+            ..CampaignConfig::failover()
         };
         assert!(run_failover(&config).is_err());
-        let config = FailoverConfig {
+        let config = CampaignConfig {
             cells: Vec::new(),
-            ..FailoverConfig::default()
+            ..CampaignConfig::failover()
         };
         assert!(run_failover(&config).is_err());
     }
 
     #[test]
     fn single_cell_rides_through_kills() {
-        let config = FailoverConfig {
+        let config = CampaignConfig {
             records: 600,
-            kills_per_cell: 1,
-            hold_millis: 2,
             cells: vec![(System::Rill, Api::Native)],
-            ..FailoverConfig::default()
+            trials: Trials::Kills(1),
+            ..CampaignConfig::failover()
         };
         let report = run_failover(&config).unwrap();
         assert_eq!(report.cells.len(), 1);
@@ -559,7 +441,7 @@ mod tests {
         assert!(cell.output_ok, "output must be byte-identical: {cell:?}");
         assert_eq!(cell.output_records, 600);
         assert!(cell.kills >= 1);
-        assert_eq!(cell.unavailability_micros.len(), cell.kills as usize);
+        assert_eq!(cell.unavailability.count, u64::from(cell.kills));
         let json = report.to_json();
         assert!(json.contains("\"p50_micros\""));
         assert!(json.contains("rill-native-p1"));

@@ -21,11 +21,12 @@
 //!    the payload prefix, accumulated into an [`obs::Histogram`]
 //!    (p50/p95/p99/p999).
 //!
-//! A cell is swept over increasing offered rates; each trial is
-//! classified **sustainable** (p99 within bound, output drained roughly
-//! in arrival time, correct output) or **overloaded**. The report keeps
-//! every trial and highlights the latency at the highest sustainable
-//! rate.
+//! A cell is swept over increasing offered rates ([`Trials::Rates`]) or
+//! searched for its max sustainable rate ([`Trials::Search`],
+//! [`crate::scaleout`]); each trial is classified **sustainable** (p99
+//! within [`P99_BOUND_MICROS`], output drained within [`CATCHUP_RATIO`]
+//! of the arrival time, correct output) or **overloaded**. The report
+//! keeps every trial and highlights the highest sustainable rate.
 //!
 //! Caveat recorded in EXPERIMENTS.md: broker round trips here are
 //! *simulated* (a configurable per-request delay on an in-process
@@ -33,132 +34,12 @@
 //! cluster; the reproduced quantity is the *relative* shape — which
 //! cells saturate first and what the abstraction layer adds.
 
-use crate::config::{env_f64, env_list, env_u64};
-use crate::queries::{self, Query};
-use crate::runner::{fresh_yarn_cluster_for, BenchError};
+use crate::config::{BenchConfig, CampaignConfig, Trials, CATCHUP_RATIO, P99_BOUND_MICROS};
+use crate::report::{json_array, JsonObject};
+use crate::runner::{execute_setup, BenchError};
 use crate::sender::{parse_event_time_micros, send_open_loop_partitioned, OpenLoopSchedule};
-use crate::setup::{all_setups, Setup, System};
-use beamline::runners::{ApxRunner, DStreamRunner, RillRunner};
-use beamline::PipelineRunner;
+use crate::setup::Setup;
 use logbus::{Broker, TopicConfig};
-
-/// Configuration of a latency sweep.
-#[derive(Debug, Clone)]
-pub struct LatencyConfig {
-    /// Records offered per trial.
-    pub records: u64,
-    /// Leading records excluded from the latency statistics (engine
-    /// startup transients: container allocation, first-batch effects).
-    pub warmup_records: u64,
-    /// Offered rates to sweep, records per second (sorted ascending
-    /// before use).
-    pub rates: Vec<f64>,
-    /// Parallelism degrees of the cell matrix.
-    pub parallelisms: Vec<usize>,
-    /// The query under test.
-    pub query: Query,
-    /// A trial is sustainable only if its p99 latency is within this
-    /// bound.
-    pub p99_bound_micros: u64,
-    /// A trial is sustainable only if the output topic's append span is
-    /// at most this multiple of the offered arrival span (an engine that
-    /// needs much longer than the arrival window to drain is falling
-    /// behind).
-    pub catchup_ratio: f64,
-    /// Simulated broker network round trip per request, in microseconds.
-    pub request_latency_micros: u64,
-    /// Partitions of the input topic. With more than one, the open-loop
-    /// sender key-hash-routes records through the shared producer
-    /// partitioner ([`send_open_loop_partitioned`]) and the engines'
-    /// consumer groups split the partitions among parallel sources.
-    pub input_partitions: usize,
-    /// Micro-batch size of the `dstream` engine.
-    pub dstream_batch_records: usize,
-    /// Streaming-window size of the `apx` engine.
-    pub apx_window_size: usize,
-    /// Workload seed.
-    pub seed: u64,
-}
-
-impl Default for LatencyConfig {
-    fn default() -> Self {
-        LatencyConfig {
-            records: 2_000,
-            warmup_records: 200,
-            rates: vec![500.0, 2_000.0, 8_000.0],
-            parallelisms: vec![1, 2],
-            query: Query::Identity,
-            p99_bound_micros: 200_000,
-            catchup_ratio: 1.5,
-            request_latency_micros: 25,
-            input_partitions: 1,
-            dstream_batch_records: 2_000,
-            apx_window_size: 2_048,
-            seed: 2019,
-        }
-    }
-}
-
-impl LatencyConfig {
-    /// The default configuration with `STREAMBENCH_LATENCY_*`
-    /// environment overrides applied: `RECORDS`, `WARMUP`, `RATES`
-    /// (comma-separated), `PARALLELISMS` (comma-separated),
-    /// `P99_BOUND_MICROS`, and `CATCHUP_RATIO`.
-    pub fn from_env() -> Self {
-        let default = LatencyConfig::default();
-        LatencyConfig {
-            records: env_u64("STREAMBENCH_LATENCY_RECORDS", default.records),
-            warmup_records: env_u64("STREAMBENCH_LATENCY_WARMUP", default.warmup_records),
-            rates: env_list("STREAMBENCH_LATENCY_RATES").unwrap_or(default.rates),
-            parallelisms: env_list("STREAMBENCH_LATENCY_PARALLELISMS")
-                .map(|ps: Vec<usize>| ps.into_iter().filter(|&p| p > 0).collect::<Vec<_>>())
-                .filter(|ps| !ps.is_empty())
-                .unwrap_or(default.parallelisms),
-            p99_bound_micros: env_u64(
-                "STREAMBENCH_LATENCY_P99_BOUND_MICROS",
-                default.p99_bound_micros,
-            ),
-            catchup_ratio: env_f64("STREAMBENCH_LATENCY_CATCHUP_RATIO", default.catchup_ratio),
-            ..default
-        }
-    }
-
-    /// Sets the records per trial.
-    pub fn records(mut self, records: u64) -> Self {
-        self.records = records.max(1);
-        self
-    }
-
-    /// Sets the warmup cutoff.
-    pub fn warmup_records(mut self, records: u64) -> Self {
-        self.warmup_records = records;
-        self
-    }
-
-    /// Sets the offered rates.
-    pub fn rates(mut self, rates: Vec<f64>) -> Self {
-        self.rates = rates;
-        self
-    }
-
-    /// Sets the parallelism degrees.
-    pub fn parallelisms(mut self, parallelisms: Vec<usize>) -> Self {
-        self.parallelisms = parallelisms;
-        self
-    }
-
-    /// Sets the query under test.
-    pub fn query(mut self, query: Query) -> Self {
-        self.query = query;
-        self
-    }
-
-    /// Sets the input topic's partition count.
-    pub fn input_partitions(mut self, partitions: usize) -> Self {
-        self.input_partitions = partitions.max(1);
-        self
-    }
-}
 
 /// One (cell, offered rate) trial.
 #[derive(Debug, Clone, PartialEq)]
@@ -207,132 +88,117 @@ pub struct LatencyCell {
 impl LatencyCell {
     /// The trial at the highest offered rate the cell sustained, if any.
     pub fn highest_sustainable(&self) -> Option<&LatencyTrial> {
-        self.trials.iter().rev().find(|t| t.sustainable)
+        self.trials
+            .iter()
+            .filter(|t| t.sustainable)
+            .max_by(|a, b| a.offered_rate.total_cmp(&b.offered_rate))
     }
 }
 
-/// The full latency report: every cell of the matrix with its sweep.
+/// The report of an open-loop campaign: every cell with its trials.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LatencyReport {
-    /// The query under test.
-    pub query: Query,
-    /// Records offered per trial.
-    pub records_per_trial: u64,
-    /// Warmup records excluded from the statistics.
-    pub warmup_records: u64,
-    /// The sustainability bound on p99 latency, µs.
-    pub p99_bound_micros: u64,
-    /// The sustainability bound on the drain ratio.
-    pub catchup_ratio: f64,
-    /// All cells, in [`all_setups`] order.
+    /// The campaign that ran.
+    pub config: CampaignConfig,
+    /// All cells, in [`CampaignConfig::setups`] order.
     pub cells: Vec<LatencyCell>,
 }
 
 impl LatencyReport {
     /// Serializes the report as JSON (schema asserted by CI's
-    /// `latency-smoke` job): per-cell trials with p50/p95/p99/p999 and a
-    /// boolean `sustainable` flag, plus the highest sustainable rate.
+    /// `latency-smoke` and `scaleout-smoke` jobs): per-cell trials with
+    /// p50/p95/p99/p999 and a boolean `sustainable` flag, plus the
+    /// highest sustainable rate. A scale-out report names them `probes`
+    /// and `max_sustainable_rate` and adds its search bracket.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\"query\":");
-        out.push_str(&obs::json::string(&self.query.to_string()));
-        out.push_str(&format!(
-            ",\"records_per_trial\":{},\"warmup_records\":{},\"p99_bound_micros\":{},\"catchup_ratio\":{}",
-            self.records_per_trial,
-            self.warmup_records,
-            self.p99_bound_micros,
-            fmt_f64(self.catchup_ratio)
-        ));
-        out.push_str(",\"cells\":[");
-        for (i, cell) in self.cells.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+        let mut head = JsonObject::default()
+            .str("query", &self.config.query.to_string())
+            .num("records_per_trial", self.config.records)
+            .num("warmup_records", self.config.warmup_records)
+            .num("p99_bound_micros", P99_BOUND_MICROS)
+            .float("catchup_ratio", CATCHUP_RATIO);
+        let (rate_key, trials_key) = match self.config.trials {
+            Trials::Search {
+                min_rate, max_rate, ..
+            } => {
+                head = head.float("min_rate", min_rate).float("max_rate", max_rate);
+                ("max_sustainable_rate", "probes")
             }
-            out.push_str("{\"system\":");
-            out.push_str(&obs::json::string(&cell.setup.system.to_string()));
-            out.push_str(",\"sdk\":");
-            out.push_str(&obs::json::string(&cell.setup.api.to_string()));
-            out.push_str(&format!(",\"parallelism\":{}", cell.setup.parallelism));
-            out.push_str(",\"label\":");
-            out.push_str(&obs::json::string(&cell.setup.label()));
-            out.push_str(",\"highest_sustainable_rate\":");
-            match cell.highest_sustainable() {
-                Some(t) => out.push_str(&fmt_f64(t.offered_rate)),
-                None => out.push_str("null"),
-            }
-            out.push_str(",\"trials\":[");
-            for (j, t) in cell.trials.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!(
-                    "{{\"offered_rate\":{},\"sustainable\":{},\"output_records\":{},\
-                     \"measured\":{},\"p50_micros\":{},\"p95_micros\":{},\"p99_micros\":{},\
-                     \"p999_micros\":{},\"max_micros\":{},\"mean_micros\":{},\
-                     \"drain_ratio\":{},\"max_send_lag_micros\":{},\"output_ok\":{}}}",
-                    fmt_f64(t.offered_rate),
-                    t.sustainable,
-                    t.output_records,
-                    t.measured,
-                    t.p50_micros,
-                    t.p95_micros,
-                    t.p99_micros,
-                    t.p999_micros,
-                    t.max_micros,
-                    fmt_f64(t.mean_micros),
-                    fmt_f64(t.drain_ratio),
-                    t.max_send_lag_micros,
-                    t.output_ok,
-                ));
-            }
-            out.push_str("]}");
-        }
-        out.push_str("]}");
-        out
+            _ => ("highest_sustainable_rate", "trials"),
+        };
+        let cells = json_array(&self.cells, |cell| {
+            JsonObject::default()
+                .str("system", &cell.setup.system.to_string())
+                .str("sdk", &cell.setup.api.to_string())
+                .num("parallelism", cell.setup.parallelism)
+                .str("label", &cell.setup.label())
+                .float(rate_key, cell.highest_sustainable().map(|t| t.offered_rate))
+                .raw(trials_key, &json_array(&cell.trials, trial_json))
+                .finish()
+        });
+        head.raw("cells", &cells).finish()
     }
 }
 
-/// Formats a float as JSON (finite; `NaN`/inf degrade to `0`).
-pub(crate) fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "0".to_string()
-    }
+fn trial_json(t: &LatencyTrial) -> String {
+    JsonObject::default()
+        .float("offered_rate", t.offered_rate)
+        .num("sustainable", t.sustainable)
+        .num("output_records", t.output_records)
+        .num("measured", t.measured)
+        .num("p50_micros", t.p50_micros)
+        .num("p95_micros", t.p95_micros)
+        .num("p99_micros", t.p99_micros)
+        .num("p999_micros", t.p999_micros)
+        .num("max_micros", t.max_micros)
+        .float("mean_micros", t.mean_micros)
+        .float("drain_ratio", t.drain_ratio)
+        .num("max_send_lag_micros", t.max_send_lag_micros)
+        .num("output_ok", t.output_ok)
+        .finish()
 }
 
-/// Runs the full latency sweep: every cell of the
-/// 3 systems × 2 SDKs × parallelisms matrix, at every configured rate,
-/// one fresh broker per trial.
+/// Runs an open-loop campaign: every cell of the configured matrix, at
+/// every offered rate ([`Trials::Rates`]) or over a binary search for
+/// its max sustainable rate ([`Trials::Search`]), one fresh broker per
+/// trial.
 ///
 /// # Errors
 ///
-/// Fails on broker/topic errors and on sender-thread failures; an
-/// *engine* failure marks the trial overloaded instead of aborting the
-/// sweep (an engine that falls over under offered load is the overload
-/// signal, not an infrastructure error).
-pub fn run_latency(config: &LatencyConfig) -> Result<LatencyReport, BenchError> {
-    let mut rates = config.rates.clone();
-    rates.retain(|r| r.is_finite() && *r > 0.0);
-    rates.sort_by(f64::total_cmp);
-    rates.dedup();
-    if rates.is_empty() {
-        return Err(BenchError::Broker("no offered rates configured".into()));
-    }
+/// Fails on an invalid or failover configuration, on broker/topic
+/// errors and on sender-thread failures; an *engine* failure marks the
+/// trial overloaded instead of aborting the sweep (an engine that falls
+/// over under offered load is the overload signal, not an
+/// infrastructure error).
+pub fn run_latency(config: &CampaignConfig) -> Result<LatencyReport, BenchError> {
+    config.validate()?;
     let mut cells = Vec::new();
-    for setup in all_setups(&config.parallelisms) {
-        let mut trials = Vec::new();
-        for &rate in &rates {
-            trials.push(run_trial(config, setup, rate)?);
-        }
+    for setup in config.setups() {
+        let trials = match &config.trials {
+            Trials::Rates(rates) => {
+                let mut rates = rates.clone();
+                rates.sort_by(f64::total_cmp);
+                rates.dedup();
+                rates
+                    .into_iter()
+                    .map(|rate| run_trial(config, setup, rate))
+                    .collect::<Result<_, _>>()?
+            }
+            &Trials::Search {
+                min_rate,
+                max_rate,
+                iters,
+            } => crate::scaleout::search(config, setup, min_rate, max_rate, iters)?,
+            Trials::Kills(_) => {
+                return Err(BenchError::Config(
+                    "a kill campaign runs through run_failover".into(),
+                ))
+            }
+        };
         cells.push(LatencyCell { setup, trials });
     }
     Ok(LatencyReport {
-        query: config.query,
-        records_per_trial: config.records,
-        warmup_records: config.warmup_records,
-        p99_bound_micros: config.p99_bound_micros,
-        catchup_ratio: config.catchup_ratio,
+        config: config.clone(),
         cells,
     })
 }
@@ -342,20 +208,26 @@ pub fn run_latency(config: &LatencyConfig) -> Result<LatencyReport, BenchError> 
 const SCHEDULE_LEAD_MICROS: i64 = 5_000;
 
 /// One trial: fresh broker, open-loop sender thread, follow-mode engine
-/// on the calling thread, sink-side latency measurement. `pub(crate)`
-/// so the scale-out sweep ([`crate::scaleout`]) can binary-search over
-/// the same trial machinery.
+/// on the calling thread, sink-side latency measurement. A scale-out
+/// probe partitions the input topic to the cell's parallelism, so the
+/// sender key-hash-routes records through the shared producer
+/// partitioner and the engines' consumer groups split the partitions.
 pub(crate) fn run_trial(
-    config: &LatencyConfig,
+    config: &CampaignConfig,
     setup: Setup,
     rate: f64,
 ) -> Result<LatencyTrial, BenchError> {
     let mut trial_span = obs::span("latency.trial");
     trial_span.field("setup", setup.to_string());
     trial_span.field("rate", format!("{rate}"));
-    let partitions = config.input_partitions.max(1) as u32;
+    let partitions = match config.trials {
+        Trials::Search { .. } => setup.parallelism as u32,
+        _ => 1,
+    };
+    // The batch campaign's simulated broker RTT and dstream batch size.
+    let defaults = BenchConfig::default();
     let broker = Broker::new();
-    broker.set_request_latency_micros(config.request_latency_micros);
+    broker.set_request_latency_micros(defaults.request_latency_micros);
     broker.create_topic("input", TopicConfig::default().partitions(partitions))?;
     broker.create_topic("output", TopicConfig::default())?;
 
@@ -374,7 +246,15 @@ pub(crate) fn run_trial(
 
     // The engine tails the input until it has consumed the trial's
     // records; an engine-side failure classifies the trial overloaded.
-    let engine_result = execute_following(&broker, config, setup);
+    let engine_result = execute_setup(
+        &broker,
+        setup,
+        config.query,
+        "input",
+        "output",
+        Some(config.records),
+        defaults.dstream_batch_records,
+    );
     let send_report = sender
         .join()
         .map_err(|_| BenchError::Broker("open-loop sender panicked".into()))??;
@@ -435,8 +315,8 @@ pub(crate) fn run_trial(
             .is_none_or(|expected| expected == outputs.len() as u64);
     let sustainable = output_ok
         && snapshot.count > 0
-        && snapshot.p99() <= config.p99_bound_micros
-        && drain_ratio <= config.catchup_ratio;
+        && snapshot.p99() <= P99_BOUND_MICROS
+        && drain_ratio <= CATCHUP_RATIO;
 
     Ok(LatencyTrial {
         offered_rate: rate,
@@ -455,80 +335,23 @@ pub(crate) fn run_trial(
     })
 }
 
-/// Runs `setup` in follow mode against the trial broker: the source
-/// tails `input` until `config.records` records are consumed.
-fn execute_following(broker: &Broker, config: &LatencyConfig, setup: Setup) -> Result<(), String> {
-    use crate::setup::Api;
-    match (setup.system, setup.api) {
-        (System::Rill, Api::Native) => queries::native_rill_following(
-            broker,
-            config.query,
-            "input",
-            "output",
-            setup.parallelism,
-            config.records,
-        )
-        .map(drop)
-        .map_err(|e| e.to_string()),
-        (System::DStream, Api::Native) => queries::native_dstream_following(
-            broker,
-            config.query,
-            "input",
-            "output",
-            setup.parallelism,
-            config.dstream_batch_records,
-            config.records,
-        )
-        .map(drop)
-        .map_err(|e| e.to_string()),
-        (System::Apx, Api::Native) => {
-            let mut rm = fresh_yarn_cluster_for(setup.parallelism);
-            queries::native_apx_following(
-                broker,
-                config.query,
-                "input",
-                "output",
-                setup.parallelism as u32,
-                &mut rm,
-                config.records,
-            )
-            .map(drop)
-            .map_err(|e| e.to_string())
-        }
-        (system, Api::Beam) => {
-            let pipeline = queries::beam_pipeline_following(
-                broker,
-                config.query,
-                "input",
-                "output",
-                config.records,
-            );
-            let runner: Box<dyn PipelineRunner> = match system {
-                System::Rill => Box::new(
-                    RillRunner::new()
-                        .with_parallelism(setup.parallelism)
-                        .with_cluster(rill::ClusterSpec::local_for(setup.parallelism)),
-                ),
-                System::DStream => Box::new(
-                    DStreamRunner::new()
-                        .with_parallelism(setup.parallelism)
-                        .with_batch_records(config.dstream_batch_records),
-                ),
-                System::Apx => Box::new(
-                    ApxRunner::new()
-                        .with_vcores(setup.parallelism as u32)
-                        .with_window_size(config.apx_window_size),
-                ),
-            };
-            runner.run(&pipeline).map(drop).map_err(|e| e.to_string())
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::setup::Api;
+    use crate::queries::Query;
+    use crate::setup::{Api, System};
+
+    /// The latency defaults with `rates` offered to every cell at
+    /// parallelism 1.
+    fn sweep(records: u64, warmup_records: u64, rates: Vec<f64>) -> CampaignConfig {
+        CampaignConfig {
+            records,
+            warmup_records,
+            parallelisms: vec![1],
+            trials: Trials::Rates(rates),
+            ..CampaignConfig::latency()
+        }
+    }
 
     fn trial(rate: f64, sustainable: bool) -> LatencyTrial {
         LatencyTrial {
@@ -576,11 +399,7 @@ mod tests {
     #[test]
     fn json_schema_has_percentiles_and_boolean_flag() {
         let report = LatencyReport {
-            query: Query::Identity,
-            records_per_trial: 100,
-            warmup_records: 10,
-            p99_bound_micros: 200_000,
-            catchup_ratio: 1.5,
+            config: sweep(100, 10, vec![500.0, 8_000.0]),
             cells: vec![LatencyCell {
                 setup: Setup {
                     system: System::Apx,
@@ -609,25 +428,9 @@ mod tests {
     }
 
     #[test]
-    fn env_overrides_apply() {
-        std::env::set_var("STREAMBENCH_LATENCY_RECORDS", "123");
-        std::env::set_var("STREAMBENCH_LATENCY_RATES", "100,400");
-        std::env::set_var("STREAMBENCH_LATENCY_PARALLELISMS", "1");
-        let config = LatencyConfig::from_env();
-        assert_eq!(config.records, 123);
-        assert_eq!(config.rates, vec![100.0, 400.0]);
-        assert_eq!(config.parallelisms, vec![1]);
-        std::env::remove_var("STREAMBENCH_LATENCY_RECORDS");
-        std::env::remove_var("STREAMBENCH_LATENCY_RATES");
-        std::env::remove_var("STREAMBENCH_LATENCY_PARALLELISMS");
-    }
-
-    #[test]
     fn empty_rates_is_an_error() {
-        let config = LatencyConfig::default().rates(vec![]);
-        assert!(run_latency(&config).is_err());
-        let config = LatencyConfig::default().rates(vec![f64::NAN, -5.0]);
-        assert!(run_latency(&config).is_err());
+        assert!(run_latency(&sweep(100, 0, vec![])).is_err());
+        assert!(run_latency(&sweep(100, 0, vec![f64::NAN, -5.0])).is_err());
     }
 
     #[test]
@@ -635,12 +438,7 @@ mod tests {
         // A tiny end-to-end sweep: all six cells at one comfortable
         // rate. Asserts structure and measurement sanity, not the
         // (machine-dependent) sustainability verdicts.
-        let config = LatencyConfig::default()
-            .records(240)
-            .warmup_records(40)
-            .rates(vec![4_000.0])
-            .parallelisms(vec![1]);
-        let report = run_latency(&config).unwrap();
+        let report = run_latency(&sweep(240, 40, vec![4_000.0])).unwrap();
         assert_eq!(report.cells.len(), 6);
         for cell in &report.cells {
             assert_eq!(cell.trials.len(), 1, "{}", cell.setup);
@@ -664,12 +462,10 @@ mod tests {
     fn grep_trial_measures_sparse_outputs() {
         // Grep keeps ~0.3 % of records: the latency path must survive
         // near-empty output topics.
-        let config = LatencyConfig::default()
-            .records(400)
-            .warmup_records(0)
-            .rates(vec![8_000.0])
-            .parallelisms(vec![1])
-            .query(Query::Grep);
+        let config = CampaignConfig {
+            query: Query::Grep,
+            ..sweep(400, 0, vec![8_000.0])
+        };
         let report = run_latency(&config).unwrap();
         let cell = report
             .cells

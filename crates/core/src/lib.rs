@@ -18,9 +18,11 @@
 //!    purely from the output topic's `LogAppendTime` stamps, keeping the
 //!    measurement system-independent.
 //!
-//! The [runner] orchestrates campaigns; [report] aggregates measurements
-//! into the paper's figures (6–11) and tables (I–III); [stats] holds the
-//! paper's exact formulas.
+//! The [runner] orchestrates campaigns through one setup executor
+//! ([`execute_setup`]); the [latency], [scaleout] and [failover]
+//! campaigns run over one [`CampaignConfig`]; [report] aggregates
+//! measurements into the paper's figures (6–11) and tables (I–III) and
+//! writes the campaigns' JSON; [stats] holds the paper's exact formulas.
 //!
 //! # Example
 //!
@@ -52,17 +54,16 @@ pub mod stats;
 pub mod systems;
 
 pub use calculator::{measure, CalculatorError, QueryMeasurement};
-pub use config::BenchConfig;
+pub use config::{BenchConfig, CampaignConfig, Trials, CATCHUP_RATIO, P99_BOUND_MICROS};
 pub use data::{QueryLogGenerator, QueryLogRecord};
-pub use failover::{percentile_micros, run_failover, FailoverCell, FailoverConfig, FailoverReport};
-pub use latency::{run_latency, LatencyCell, LatencyConfig, LatencyReport, LatencyTrial};
+pub use failover::{run_failover, FailoverCell, FailoverReport};
+pub use latency::{run_latency, LatencyCell, LatencyReport, LatencyTrial};
 pub use noise::NoiseModel;
 pub use queries::{beam_pipeline, native_apx, native_dstream, native_rill, Query};
 pub use runner::{
-    fresh_yarn_cluster, fresh_yarn_cluster_for, BenchError, BenchmarkRunner, Measurement,
-    QueryReport, RunIncident,
+    execute_setup, fresh_yarn_cluster, fresh_yarn_cluster_for, BenchError, BenchmarkRunner,
+    Measurement, QueryReport, RunIncident,
 };
-pub use scaleout::{run_scaleout, ScaleoutCell, ScaleoutConfig, ScaleoutReport};
 pub use sender::{
     parse_event_time_micros, send_open_loop, send_open_loop_partitioned, send_workload,
     OpenLoopSchedule, OpenLoopSendReport, SendReport, SenderConfig,

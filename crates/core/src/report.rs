@@ -3,15 +3,70 @@
 //! Every experiment artifact of §III has a renderer here: Figs. 6–9
 //! (average execution times), Fig. 10 (relative standard deviation),
 //! Fig. 11 (slowdown factors), Table I (system comparison), Table II
-//! (query overview), and Table III (per-run times).
+//! (query overview), and Table III (per-run times). The campaign modes
+//! render their tables here too, and write their JSON reports through
+//! the one [`JsonObject`] writer.
 
+use crate::config::{Trials, CATCHUP_RATIO, P99_BOUND_MICROS};
 use crate::latency::LatencyReport;
 use crate::queries::Query;
 use crate::runner::{Measurement, RunIncident};
-use crate::scaleout::ScaleoutReport;
 use crate::setup::{Api, Setup, System};
 use crate::stats;
 use std::collections::BTreeMap;
+
+/// One JSON object under construction: the single writer behind every
+/// campaign report, built on [`obs::json`]. Keys keep insertion order.
+#[derive(Debug, Default)]
+#[must_use = "finish the object to get its JSON text"]
+pub struct JsonObject(String);
+
+impl JsonObject {
+    /// Adds `key` with an already-encoded JSON value (object or array).
+    pub fn raw(mut self, key: &str, value: &str) -> Self {
+        self.0.push(if self.0.is_empty() { '{' } else { ',' });
+        obs::json::write_string(&mut self.0, key);
+        self.0.push(':');
+        self.0.push_str(value);
+        self
+    }
+
+    /// Adds `key` with a string value.
+    pub fn str(self, key: &str, value: &str) -> Self {
+        self.raw(key, &obs::json::string(value))
+    }
+
+    /// Adds `key` with an integer or boolean value.
+    pub fn num(self, key: &str, value: impl std::fmt::Display) -> Self {
+        self.raw(key, &value.to_string())
+    }
+
+    /// Adds `key` with a float value: `None` writes `null`, and a value
+    /// that is not finite degrades to `0`.
+    pub fn float(self, key: &str, value: impl Into<Option<f64>>) -> Self {
+        let text = match value.into() {
+            Some(v) if v.is_finite() => v.to_string(),
+            Some(_) => "0".to_string(),
+            None => "null".to_string(),
+        };
+        self.raw(key, &text)
+    }
+
+    /// The finished object's JSON text.
+    pub fn finish(mut self) -> String {
+        if self.0.is_empty() {
+            self.0.push('{');
+        }
+        self.0.push('}');
+        self.0
+    }
+}
+
+/// Encodes `items` as a JSON array of `encode`d values.
+pub fn json_array<T>(items: &[T], encode: impl Fn(&T) -> String) -> String {
+    let values: Vec<String> = items.iter().map(encode).collect();
+    format!("[{}]", values.join(","))
+}
 
 /// One labelled value of a figure.
 #[derive(Debug, Clone, PartialEq)]
@@ -292,11 +347,11 @@ pub fn latency_table(report: &LatencyReport) -> String {
     let mut out = format!(
         "Latency sweep — {} query, {} records/trial (warmup {}), sustainable ⇔ \
          p99 ≤ {} ms and drain ratio ≤ {}\n",
-        report.query,
-        report.records_per_trial,
-        report.warmup_records,
-        report.p99_bound_micros as f64 / 1_000.0,
-        report.catchup_ratio,
+        report.config.query,
+        report.config.records,
+        report.config.warmup_records,
+        P99_BOUND_MICROS as f64 / 1_000.0,
+        CATCHUP_RATIO,
     );
     let ms = |micros: u64| format!("{:.3}", micros as f64 / 1_000.0);
     let mut rows = Vec::new();
@@ -362,20 +417,26 @@ pub fn latency_table(report: &LatencyReport) -> String {
 /// Renders the scale-out sweep: one row per (cell, parallelism) with
 /// the binary-searched max sustainable rate, its probe count, and the
 /// speedup over the same cell at parallelism 1.
-pub fn scaleout_table(report: &ScaleoutReport) -> String {
+pub fn scaleout_table(report: &LatencyReport) -> String {
+    let (min_rate, max_rate) = match report.config.trials {
+        Trials::Search {
+            min_rate, max_rate, ..
+        } => (min_rate, max_rate),
+        _ => (0.0, 0.0),
+    };
     let mut out = format!(
         "Scale-out sweep — {} query, {} records/probe (warmup {}), bracket \
          [{:.0}, {:.0}] rec/s, sustainable ⇔ p99 ≤ {} ms and drain ratio ≤ {}\n",
-        report.query,
-        report.records_per_trial,
-        report.warmup_records,
-        report.min_rate,
-        report.max_rate,
-        report.p99_bound_micros as f64 / 1_000.0,
-        report.catchup_ratio,
+        report.config.query,
+        report.config.records,
+        report.config.warmup_records,
+        min_rate,
+        max_rate,
+        P99_BOUND_MICROS as f64 / 1_000.0,
+        CATCHUP_RATIO,
     );
     // Baseline (parallelism 1) max rate per (system, sdk) for speedups.
-    let baseline = |cell: &crate::scaleout::ScaleoutCell| -> Option<f64> {
+    let baseline = |cell: &crate::latency::LatencyCell| -> Option<f64> {
         report
             .cells
             .iter()
@@ -384,17 +445,19 @@ pub fn scaleout_table(report: &ScaleoutReport) -> String {
                     && c.setup.api == cell.setup.api
                     && c.setup.parallelism == 1
             })
-            .and_then(|c| c.max_sustainable_rate)
+            .and_then(|c| c.highest_sustainable())
+            .map(|t| t.offered_rate)
     };
     let rows: Vec<Vec<String>> = report
         .cells
         .iter()
         .map(|cell| {
-            let max = match cell.max_sustainable_rate {
+            let rate = cell.highest_sustainable().map(|t| t.offered_rate);
+            let max = match rate {
                 Some(rate) => format!("{rate:.0}"),
                 None => "none (overloaded at floor)".to_string(),
             };
-            let speedup = match (cell.max_sustainable_rate, baseline(cell)) {
+            let speedup = match (rate, baseline(cell)) {
                 (Some(rate), Some(base)) if base > 0.0 => format!("{:.2}x", rate / base),
                 _ => String::new(),
             };
@@ -403,7 +466,7 @@ pub fn scaleout_table(report: &ScaleoutReport) -> String {
                 format!("{}", cell.setup.parallelism),
                 max,
                 speedup,
-                format!("{}", cell.probes.len()),
+                format!("{}", cell.trials.len()),
             ]
         })
         .collect();
@@ -584,11 +647,11 @@ mod tests {
             sustainable,
         };
         let report = LatencyReport {
-            query: Query::Identity,
-            records_per_trial: 100,
-            warmup_records: 10,
-            p99_bound_micros: 200_000,
-            catchup_ratio: 1.5,
+            config: crate::config::CampaignConfig {
+                records: 100,
+                warmup_records: 10,
+                ..crate::config::CampaignConfig::latency()
+            },
             cells: vec![
                 LatencyCell {
                     setup: Setup {

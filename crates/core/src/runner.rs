@@ -9,7 +9,7 @@ use crate::sender::{send_workload, SenderConfig};
 use crate::setup::{all_setups, Api, Setup, System};
 use beamline::runners::{ApxRunner, DStreamRunner, RillRunner};
 use beamline::PipelineRunner;
-use logbus::{Broker, TopicConfig};
+use logbus::{Broker, BusHandle, TopicConfig};
 use std::fmt;
 
 /// One completed benchmark run.
@@ -65,6 +65,8 @@ pub struct QueryReport {
 /// Errors raised by the orchestrator.
 #[derive(Debug, Clone, PartialEq)]
 pub enum BenchError {
+    /// The campaign configuration has nothing valid to run.
+    Config(String),
     /// Broker-side failure.
     Broker(String),
     /// Engine or runner failure.
@@ -91,6 +93,7 @@ pub enum BenchError {
 impl fmt::Display for BenchError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            BenchError::Config(msg) => write!(f, "invalid configuration: {msg}"),
             BenchError::Broker(msg) => write!(f, "broker failure: {msg}"),
             BenchError::Execution { setup, message } => {
                 write!(f, "execution of {setup} failed: {message}")
@@ -126,11 +129,6 @@ impl BenchmarkRunner {
     /// Creates a runner from a configuration.
     pub fn new(config: BenchConfig) -> Self {
         BenchmarkRunner { config }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &BenchConfig {
-        &self.config
     }
 
     /// Benchmarks one query over the full setup matrix, `runs` times
@@ -240,7 +238,15 @@ impl BenchmarkRunner {
                         seed.wrapping_add(u64::from(attempts) - 1),
                     ));
                 }
-                let result = self.execute_setup(broker, query, setup, &output_topic);
+                let result = execute_setup(
+                    broker,
+                    setup,
+                    query,
+                    "input",
+                    &output_topic,
+                    None,
+                    self.config.dstream_batch_records,
+                );
                 if self.config.fault_seed.is_some() {
                     broker.clear_fault_plan();
                 }
@@ -287,34 +293,6 @@ impl BenchmarkRunner {
         Ok(())
     }
 
-    /// Benchmarks all four queries.
-    ///
-    /// # Errors
-    ///
-    /// See [`BenchmarkRunner::run_query`].
-    pub fn run_all(&self) -> Result<Vec<Measurement>, BenchError> {
-        let mut all = Vec::new();
-        for query in Query::ALL {
-            all.extend(self.run_query(query)?);
-        }
-        Ok(all)
-    }
-
-    /// Benchmarks all four queries, with the combined incident log.
-    ///
-    /// # Errors
-    ///
-    /// See [`BenchmarkRunner::run_query_report`].
-    pub fn run_all_report(&self) -> Result<QueryReport, BenchError> {
-        let mut all = QueryReport::default();
-        for query in Query::ALL {
-            let report = self.run_query_report(query)?;
-            all.measurements.extend(report.measurements);
-            all.incidents.extend(report.incidents);
-        }
-        Ok(all)
-    }
-
     fn measure(
         &self,
         broker: &Broker,
@@ -342,73 +320,85 @@ impl BenchmarkRunner {
         }
         Ok(())
     }
+}
 
-    fn execute_setup(
-        &self,
-        broker: &Broker,
-        query: Query,
-        setup: Setup,
-        output_topic: &str,
-    ) -> Result<(), BenchError> {
-        let fail = |message: String| BenchError::Execution {
-            setup: setup.to_string(),
-            message,
-        };
-        match (setup.system, setup.api) {
-            (System::Rill, Api::Native) => {
-                queries::native_rill(broker, query, "input", output_topic, setup.parallelism)
-                    .map(drop)
-                    .map_err(|e| fail(e.to_string()))
-            }
-            (System::DStream, Api::Native) => queries::native_dstream(
-                broker,
-                query,
-                "input",
-                output_topic,
-                setup.parallelism,
-                self.config.dstream_batch_records,
-            )
-            .map(drop)
-            .map_err(|e| fail(e.to_string())),
-            (System::Apx, Api::Native) => {
-                let mut rm = fresh_yarn_cluster();
-                queries::native_apx(
-                    broker,
-                    query,
-                    "input",
-                    output_topic,
-                    setup.parallelism as u32,
-                    &mut rm,
-                )
-                .map(drop)
-                .map_err(|e| fail(e.to_string()))
-            }
-            (system, Api::Beam) => {
-                let pipeline = queries::beam_pipeline(broker, query, "input", output_topic);
-                let runner: Box<dyn PipelineRunner> = match system {
-                    System::Rill => Box::new(
-                        RillRunner::new()
-                            .with_parallelism(setup.parallelism)
-                            .with_cluster(rill::ClusterSpec::local_for(setup.parallelism)),
-                    ),
-                    System::DStream => Box::new(
-                        DStreamRunner::new()
-                            .with_parallelism(setup.parallelism)
-                            .with_batch_records(self.config.dstream_batch_records),
-                    ),
-                    System::Apx => Box::new(
-                        ApxRunner::new()
-                            .with_vcores(setup.parallelism as u32)
-                            .with_window_size(self.config.apx_window_size),
-                    ),
-                };
-                runner
-                    .run(&pipeline)
-                    .map(drop)
-                    .map_err(|e| fail(e.to_string()))
-            }
+/// Runs one setup of the matrix on `bus`: builds `setup`'s engine for
+/// `query`, reading `input` and writing `output`, and runs it to
+/// completion — over the bounded input, or with `follow = Some(n)`
+/// tailing `input` until `n` records were consumed. This is the one
+/// (system, API) dispatch of the campaign layer: batch runs, open-loop
+/// trials, failover cells and the Criterion benches all execute through
+/// it, on a [`Broker`] or a replicated [`logbus::Cluster`] alike.
+///
+/// # Errors
+///
+/// [`BenchError::Execution`] when the engine or runner fails.
+pub fn execute_setup(
+    bus: impl Into<BusHandle>,
+    setup: Setup,
+    query: Query,
+    input: &str,
+    output: &str,
+    follow: Option<u64>,
+    dstream_batch_records: usize,
+) -> Result<(), BenchError> {
+    let bus = bus.into();
+    let p = setup.parallelism;
+    let result = match (setup.system, setup.api) {
+        (System::Rill, Api::Native) => match follow {
+            None => queries::native_rill(&bus, query, input, output, p),
+            Some(n) => queries::native_rill_following(&bus, query, input, output, p, n),
         }
-    }
+        .map(drop)
+        .map_err(|e| e.to_string()),
+        (System::DStream, Api::Native) => {
+            let batch = dstream_batch_records;
+            match follow {
+                None => queries::native_dstream(&bus, query, input, output, p, batch),
+                Some(n) => {
+                    queries::native_dstream_following(&bus, query, input, output, p, batch, n)
+                }
+            }
+            .map(drop)
+            .map_err(|e| e.to_string())
+        }
+        (System::Apx, Api::Native) => {
+            let mut rm = fresh_yarn_cluster_for(p);
+            let vcores = p as u32;
+            match follow {
+                None => queries::native_apx(&bus, query, input, output, vcores, &mut rm),
+                Some(n) => {
+                    queries::native_apx_following(&bus, query, input, output, vcores, &mut rm, n)
+                }
+            }
+            .map(drop)
+            .map_err(|e| e.to_string())
+        }
+        (system, Api::Beam) => {
+            let pipeline = match follow {
+                None => queries::beam_pipeline(&bus, query, input, output),
+                Some(n) => queries::beam_pipeline_following(&bus, query, input, output, n),
+            };
+            let runner: Box<dyn PipelineRunner> = match system {
+                System::Rill => Box::new(
+                    RillRunner::new()
+                        .with_parallelism(p)
+                        .with_cluster(rill::ClusterSpec::local_for(p)),
+                ),
+                System::DStream => Box::new(
+                    DStreamRunner::new()
+                        .with_parallelism(p)
+                        .with_batch_records(dstream_batch_records),
+                ),
+                System::Apx => Box::new(ApxRunner::new().with_vcores(p as u32)),
+            };
+            runner.run(&pipeline).map(drop).map_err(|e| e.to_string())
+        }
+    };
+    result.map_err(|message| BenchError::Execution {
+        setup: setup.to_string(),
+        message,
+    })
 }
 
 /// A fresh two-worker YARN-style cluster, matching the paper's two
@@ -433,6 +423,36 @@ pub fn fresh_yarn_cluster_for(parallelism: usize) -> yarnsim::ResourceManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use logbus::Bus;
+
+    /// Loads `records` workload records into `bus`'s `input` topic.
+    fn load(bus: impl Into<BusHandle>, records: u64) -> BusHandle {
+        let bus = bus.into();
+        bus.create_topic("input", TopicConfig::default()).unwrap();
+        let config = SenderConfig {
+            records,
+            ..SenderConfig::default()
+        };
+        send_workload(&bus, "input", &config).unwrap();
+        bus
+    }
+
+    #[test]
+    fn execute_setup_runs_every_setup_on_a_broker_and_a_cluster() {
+        let cluster = logbus::Cluster::new(logbus::ClusterConfig { brokers: 3 });
+        for bus in [load(Broker::new(), 200), load(cluster, 200)] {
+            for setup in all_setups(&[1]) {
+                let output = format!("output-{setup}");
+                bus.create_topic(&output, TopicConfig::default()).unwrap();
+                execute_setup(&bus, setup, Query::Grep, "input", &output, None, 2_000).unwrap();
+                assert_eq!(
+                    bus.latest_offset(&output, 0).unwrap(),
+                    crate::data::expected_grep_hits(200),
+                    "{setup}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn quick_benchmark_identity_single_setup() {

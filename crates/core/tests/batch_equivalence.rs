@@ -423,17 +423,16 @@ fn group_rebalance_mid_run_is_exactly_once() {
 /// retries have to make the crashes invisible in the results.
 #[test]
 fn all_impls_match_reference_across_leader_kills() {
-    use streambench_core::FailoverConfig;
+    use streambench_core::{CampaignConfig, Trials};
 
     let mut elections = 0u64;
     for query in Query::ALL {
-        let config = FailoverConfig {
+        let config = CampaignConfig {
             records: 800,
             query,
-            kills_per_cell: 2,
-            hold_millis: 5,
+            trials: Trials::Kills(2),
             seed: SEED,
-            ..FailoverConfig::default()
+            ..CampaignConfig::failover()
         };
         let report = streambench_core::run_failover(&config).unwrap();
         assert_eq!(report.cells.len(), 6, "all six implementation variants");
@@ -446,8 +445,8 @@ fn all_impls_match_reference_across_leader_kills() {
             );
             assert!(cell.kills >= 1, "{}: no kill landed", cell.setup);
             assert_eq!(
-                cell.unavailability_micros.len(),
-                cell.kills as usize,
+                cell.unavailability.count,
+                u64::from(cell.kills),
                 "every kill measures one unavailability window"
             );
             elections += cell.input_epoch;

@@ -3,14 +3,14 @@
 //! figures.
 //!
 //! ```sh
-//! STREAMBENCH_RECORDS=10000 STREAMBENCH_RUNS=2 cargo run --release --example mini_benchmark
+//! cargo run --release --example mini_benchmark
 //! ```
 
 use std::error::Error;
 use streambench_core::{report, BenchConfig, BenchmarkRunner, Query};
 
 fn main() -> Result<(), Box<dyn Error>> {
-    let config = BenchConfig::default();
+    let config = BenchConfig::default().records(10_000).runs(2);
     println!(
         "mini benchmark: {} records, {} runs per setup, parallelisms {:?}\n",
         config.records, config.runs, config.parallelisms

@@ -3,7 +3,7 @@
 //! in miniature.
 //!
 //! ```sh
-//! STREAMBENCH_RECORDS=20000 cargo run --release --example native_vs_beam
+//! cargo run --release --example native_vs_beam
 //! ```
 
 use logbus::{Broker, TopicConfig};
@@ -14,10 +14,7 @@ use streambench_core::{
 };
 
 fn main() -> Result<(), Box<dyn Error>> {
-    let records: u64 = std::env::var("STREAMBENCH_RECORDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(20_000);
+    let records = 20_000;
     let query = Query::Grep;
 
     let broker = Broker::new();
